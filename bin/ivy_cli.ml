@@ -36,18 +36,15 @@ let load_files files ~fixed_frees =
 
 let handle_frontend_errors f =
   try f () with
-  | Kc.Typecheck.Type_error (msg, loc) ->
-      Printf.eprintf "type error: %s at %s\n" msg (Kc.Loc.to_string loc);
-      exit 1
-  | Kc.Parser.Error (msg, loc) ->
-      Printf.eprintf "parse error: %s at %s\n" msg (Kc.Loc.to_string loc);
-      exit 1
-  | Kc.Lexer.Error (msg, loc) ->
-      Printf.eprintf "lex error: %s at %s\n" msg (Kc.Loc.to_string loc);
-      exit 1
   | Vm.Trap.Trap (k, msg) ->
       Printf.eprintf "TRAP [%s]: %s\n" (Vm.Trap.kind_to_string k) msg;
       exit 2
+  | e -> (
+      match Kc.Typecheck.error_message e with
+      | Some msg ->
+          prerr_endline msg;
+          exit 1
+      | None -> raise e)
 
 (* Shared arguments *)
 
@@ -125,8 +122,8 @@ let run_cmd =
       & flag
       & info [ "stats" ]
           ~doc:
-            "Show compiled-VM optimizer statistics (superinstruction fusion and peephole site \
-             counts) and, when IVY_VM_PROFILE=1, the opcode execution profile.")
+            "Show compiled-VM optimizer statistics (fusion and peephole site counts) and, when \
+             IVY_VM_PROFILE=1, the opcode execution profile.")
   in
   let run mode entry iters vm_stats =
     handle_frontend_errors (fun () ->

@@ -224,37 +224,12 @@ let summarize_fn (ifaces : Transfer.ifaces) (fd : I.fundec) : Transfer.fn_iface 
     { Transfer.ret_nonnull = ctx.ret_ok && not falls_off }
   end
 
-(* Callees-first over the shared SCC condensation; one level's
-   components are mutually independent, so they solve on the pool and
-   re-merge in SCC order — jobs-invariant like Summary.compute. *)
+(* Callees-first over the shared bottom-up driver, jobs-invariant like
+   Summary.compute; recursive components promise nothing. *)
 let compute ?(jobs = 1) (prog : I.program) : Transfer.ifaces =
-  let sccs = Summary.sccs_of (List.filter (fun fd -> not fd.I.fextern) prog.I.funcs) in
-  List.fold_left
-    (fun ifaces level ->
-      let solvable, recursive =
-        List.partition
-          (fun scc -> match scc with [ fd ] -> not (Summary.is_self_recursive fd) | _ -> false)
-          level
-      in
-      let solved =
-        Par.map ~jobs
-          (fun scc ->
-            match scc with
-            | [ fd ] -> (fd.I.fname, summarize_fn ifaces fd)
-            | _ -> assert false)
-          solvable
-      in
-      let ifaces =
-        List.fold_left (fun acc (name, f) -> Transfer.SM.add name f acc) ifaces solved
-      in
-      List.fold_left
-        (fun ifaces scc ->
-          List.fold_left
-            (fun ifaces fd ->
-              Transfer.SM.add fd.I.fname { Transfer.ret_nonnull = false } ifaces)
-            ifaces scc)
-        ifaces recursive)
-    Transfer.no_ifaces (Summary.levels_of sccs)
+  Summary.bottom_up ~jobs ~init:Transfer.no_ifaces ~add:Transfer.SM.add ~solve:summarize_fn
+    ~fallback:(fun _ -> { Transfer.ret_nonnull = false })
+    prog
 
 (* How many functions carry a positive fact (observability). *)
 let count_nonnull (ifaces : Transfer.ifaces) : int =

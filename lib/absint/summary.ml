@@ -97,24 +97,18 @@ let levels_of (sccs : I.fundec list list) : I.fundec list list list =
   List.init (max_level + 1) (fun l ->
       List.rev (Option.value (Hashtbl.find_opt by_level l) ~default:[]))
 
-let solve_one ?(ifaces = Transfer.no_ifaces) ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
-  let r = Solver.analyze_cfg ~summaries ~ifaces (cfg_of fd) in
-  let ret = Solver.return_aval fd r in
-  if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
-
-let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
-    ?(ifaces = Transfer.no_ifaces) (prog : I.program) : Transfer.summaries =
-  (* Externs have no body to summarize; leaving them out also keeps
-     the allocator special-case in Transfer.instr in charge. *)
+(* The bottom-up driver every summary computation shares. Levels run
+   lowest first. Within a level, each non-recursive singleton SCC is
+   solved on a {!Par} pool against the summaries of strictly lower
+   levels, so the pool members never observe each other; recursive
+   components take [fallback]. Externs have no body and get no entry,
+   which also keeps the allocator special-case in Transfer.instr in
+   charge. Results merge in SCC order, identical to the serial
+   computation. *)
+let bottom_up ~jobs ~init ~add ~solve ~fallback (prog : I.program) =
   let sccs = sccs_of (List.filter (fun fd -> not fd.I.fextern) prog.I.funcs) in
   List.fold_left
-    (fun summaries level ->
-      (* A function in this level only reads summaries of strictly
-         lower levels, so the pool members never observe each other;
-         [cfg_of] must therefore be pure or pre-populated (the engine
-         context prefetches its CFG cache before going parallel). The
-         fold below re-merges in SCC order, identical to the serial
-         one-SCC-at-a-time result. *)
+    (fun acc level ->
       let solvable, recursive =
         List.partition
           (fun scc -> match scc with [ fd ] -> not (is_self_recursive fd) | _ -> false)
@@ -122,19 +116,26 @@ let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
       in
       let solved =
         Par.map ~jobs
-          (fun scc ->
-            match scc with
-            | [ fd ] -> (fd.I.fname, solve_one ~ifaces ~summaries ~cfg_of fd)
-            | _ -> assert false)
+          (fun scc -> match scc with [ fd ] -> (fd.I.fname, solve acc fd) | _ -> assert false)
           solvable
       in
-      let summaries =
-        List.fold_left (fun acc (name, ret) -> Transfer.SM.add name ret acc) summaries solved
-      in
+      let acc = List.fold_left (fun acc (name, s) -> add name s acc) acc solved in
       List.fold_left
-        (fun summaries scc ->
-          List.fold_left
-            (fun summaries fd -> Transfer.SM.add fd.I.fname (Transfer.of_ty fd.I.fret) summaries)
-            summaries scc)
-        summaries recursive)
-    Transfer.no_summaries (levels_of sccs)
+        (fun acc scc -> List.fold_left (fun acc fd -> add fd.I.fname (fallback fd) acc) acc scc)
+        acc recursive)
+    init (levels_of sccs)
+
+let solve_one ?(ifaces = Transfer.no_ifaces) ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
+  let r = Solver.analyze_cfg ~summaries ~ifaces (cfg_of fd) in
+  let ret = Solver.return_aval fd r in
+  if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
+
+let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
+    ?(ifaces = Transfer.no_ifaces) (prog : I.program) : Transfer.summaries =
+  (* [cfg_of] runs on the pool, so it must be pure or pre-populated
+     (the engine context prefetches its CFG cache before going
+     parallel). *)
+  bottom_up ~jobs ~init:Transfer.no_summaries ~add:Transfer.SM.add
+    ~solve:(fun summaries fd -> solve_one ~ifaces ~summaries ~cfg_of fd)
+    ~fallback:(fun fd -> Transfer.of_ty fd.I.fret)
+    prog

@@ -9,14 +9,27 @@ val sccs_of : Kc.Ir.fundec list -> Kc.Ir.fundec list list
 (** Tarjan condensation of the direct-call graph, callees first.
     Exposed for tests. *)
 
-val is_self_recursive : Kc.Ir.fundec -> bool
-(** Does the function call itself directly? Shared with {!Relsum}. *)
-
 val levels_of : Kc.Ir.fundec list list -> Kc.Ir.fundec list list list
 (** Group topologically ordered SCCs ({i callees first}) into
     bottom-up dependency levels: every component of a level calls only
     into strictly lower levels, so one level's components can be
     solved in parallel. Exposed for tests. *)
+
+val bottom_up :
+  jobs:int ->
+  init:'m ->
+  add:(string -> 'a -> 'm -> 'm) ->
+  solve:('m -> Kc.Ir.fundec -> 'a) ->
+  fallback:(Kc.Ir.fundec -> 'a) ->
+  Kc.Ir.program ->
+  'm
+(** The bottom-up summary driver shared by {!compute}, {!Relsum.compute}
+    and [Refsafe.Summary.compute]. Over the defined functions' SCC
+    levels, lowest first, each non-recursive singleton component is
+    [solve]d — on a {!Par} pool of [jobs] domains — against the
+    summaries of strictly lower levels; recursive components get
+    [fallback]. Each result is [add]ed by function name to [init], in
+    SCC order, so the result does not depend on [jobs]. *)
 
 val compute :
   ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) ->

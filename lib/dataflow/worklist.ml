@@ -1,8 +1,5 @@
-(* Generic worklist dataflow solver over {!Cfg}.
-
-   Instantiated with a join-semilattice; supports forward and backward
-   problems. The solver returns the fixpoint state at the entry of
-   each node (forward) or at the exit of each node (backward). *)
+(* Widening worklist dataflow solver over {!Cfg}, instantiated with a
+   join-semilattice that also widens and narrows. *)
 
 module type LATTICE = sig
   type t
@@ -12,54 +9,10 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
-module Make (L : LATTICE) = struct
-  type result = { before : L.t array; after : L.t array }
-
-  (* [transfer node state] maps the state at a node's input to the
-     state at its output (input = entry for forward, exit for
-     backward). *)
-  let solve ?(dir = Forward) (cfg : Cfg.t) ~(init : L.t) ~(transfer : Cfg.node -> L.t -> L.t) :
-      result =
-    let n = Cfg.n_nodes cfg in
-    let before = Array.make n L.bottom and after = Array.make n L.bottom in
-    let start, inputs, outputs =
-      match dir with
-      | Forward -> (cfg.Cfg.entry, (fun i -> (Cfg.node cfg i).Cfg.preds), fun i -> (Cfg.node cfg i).Cfg.succs)
-      | Backward -> (cfg.Cfg.exit_, (fun i -> (Cfg.node cfg i).Cfg.succs), fun i -> (Cfg.node cfg i).Cfg.preds)
-    in
-    before.(start) <- init;
-    let queue = Queue.create () in
-    let on_queue = Array.make n false in
-    let push i =
-      if not on_queue.(i) then begin
-        on_queue.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    Array.iter (fun (nd : Cfg.node) -> push nd.Cfg.nid) cfg.Cfg.nodes;
-    while not (Queue.is_empty queue) do
-      let i = Queue.take queue in
-      on_queue.(i) <- false;
-      let in_state =
-        if i = start then L.join init (List.fold_left (fun acc p -> L.join acc after.(p)) L.bottom (inputs i))
-        else List.fold_left (fun acc p -> L.join acc after.(p)) L.bottom (inputs i)
-      in
-      before.(i) <- in_state;
-      let out_state = transfer (Cfg.node cfg i) in_state in
-      if not (L.equal out_state after.(i)) then begin
-        after.(i) <- out_state;
-        List.iter push (outputs i)
-      end
-    done;
-    { before; after }
-end
-
 (* Widening-aware forward solver for infinite-height lattices
-   (intervals). Compared to {!Make}:
+   (intervals):
 
-   - the lattice additionally provides [widen] (an upper-bound
+   - the lattice provides [join], plus [widen] (an upper-bound
      operator that forces stabilization) and [narrow] (a bounded
      descending refinement);
    - [solve] takes a [widen_at] predicate array (typically the
@@ -177,23 +130,4 @@ module Make_widening (L : WIDEN_LATTICE) = struct
         rpo
     done;
     { before; after; iterations = !iterations }
-end
-
-(* A ready-made lattice of integer sets (variable ids, node ids...). *)
-module Int_set = struct
-  include Set.Make (Int)
-
-  let bottom = empty
-  let join = union
-end
-
-(* Powerset lattice over an arbitrary ordered element. *)
-module Set_lattice (O : Set.OrderedType) = struct
-  module S = Set.Make (O)
-
-  type t = S.t
-
-  let bottom = S.empty
-  let equal = S.equal
-  let join = S.union
 end

@@ -144,19 +144,10 @@ let decode_line (line : string) : decoded =
 (* Handlers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let frontend_msg = function
-  | Kc.Typecheck.Type_error (msg, loc) ->
-      Some (Printf.sprintf "type error: %s at %s" msg (Kc.Loc.to_string loc))
-  | Kc.Parser.Error (msg, loc) ->
-      Some (Printf.sprintf "parse error: %s at %s" msg (Kc.Loc.to_string loc))
-  | Kc.Lexer.Error (msg, loc) ->
-      Some (Printf.sprintf "lex error: %s at %s" msg (Kc.Loc.to_string loc))
-  | _ -> None
-
 let parse_sources (sources : (string * string) list) : (Kc.Ir.program, string) result =
   match Kc.Typecheck.check_sources sources with
   | prog -> Ok prog
-  | exception e -> ( match frontend_msg e with Some m -> Error m | None -> raise e)
+  | exception e -> ( match Kc.Typecheck.error_message e with Some m -> Error m | None -> raise e)
 
 let update_json (u : Ctx.update) : J.t =
   let names l = J.List (List.map (fun f -> J.Str f) l) in

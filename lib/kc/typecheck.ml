@@ -28,6 +28,11 @@ type env = {
   mutable field_ctx : (string * Ast.param list) option;
 }
 
+(* [Layout.size_of], with a type that has no size (void, a function)
+   reported as a type error at [loc]. *)
+let size_of env loc ty =
+  try Layout.size_of env.prog ty with Layout.Layout_error msg -> err loc "%s" msg
+
 let fresh_vid env =
   incr env.vid_ctr;
   !(env.vid_ctr)
@@ -106,7 +111,7 @@ let rec const_eval env (e : Ast.expr) : int64 =
       | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L)
   | Ast.Esizeof_type t ->
       let ty = resolve_type env Loc.dummy t in
-      Int64.of_int (Layout.size_of env.prog ty)
+      Int64.of_int (size_of env loc ty)
   | Ast.Econd (c, a, b) -> if const_eval env c <> 0L then const_eval env a else const_eval env b
   | _ -> err loc "expression is not a compile-time constant"
 
@@ -187,7 +192,7 @@ and elab_annot_exp env (e : Ast.expr) : Ir.exp =
       Ir.mk_exp (Ir.Ebinop (op, a, b)) Ir.long_type
   | Ast.Esizeof_type t ->
       let ty = resolve_type env loc t in
-      Ir.const_int (Int64.of_int (Layout.size_of env.prog ty))
+      Ir.const_int (Int64.of_int (size_of env loc ty))
   | _ -> err loc "unsupported expression form in __count annotation"
 
 (* ------------------------------------------------------------------ *)
@@ -462,13 +467,13 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
       explicit_cast env loc ty v
   | Ast.Esizeof_type t ->
       let ty = resolve_type env loc t in
-      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (Layout.size_of env.prog ty))
+      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (size_of env loc ty))
   | Ast.Esizeof_expr e1 ->
       (* sizeof does not evaluate its argument; elaborate it into a
          scratch accumulator for its type only. *)
       let scratch = ref [] in
       let v = elab_exp env scratch e1 in
-      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (Layout.size_of env.prog v.Ir.ety))
+      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (size_of env loc v.Ir.ety))
   | Ast.Econd (c, a, b) ->
       let cv = elab_exp env acc c in
       let scratch_a = ref [] and scratch_b = ref [] in
@@ -932,6 +937,13 @@ let check_units (units : Ast.unit_ list) : Ir.program =
   collect_types env units;
   List.iter (fun u -> List.iter (elab_global env) u.Ast.globals) units;
   env.prog
+
+(* The one-line message for a frontend failure. *)
+let error_message = function
+  | Type_error (msg, loc) -> Some (Printf.sprintf "type error: %s at %s" msg (Loc.to_string loc))
+  | Parser.Error (msg, loc) -> Some (Printf.sprintf "parse error: %s at %s" msg (Loc.to_string loc))
+  | Lexer.Error (msg, loc) -> Some (Printf.sprintf "lex error: %s at %s" msg (Loc.to_string loc))
+  | _ -> None
 
 (* Convenience: parse and check a list of (name, source) pairs. *)
 let check_sources (sources : (string * string) list) : Ir.program =

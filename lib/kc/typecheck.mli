@@ -14,3 +14,8 @@ val check_units : Ast.unit_ list -> Ir.program
 (** Parse and check (name, source) pairs, threading typedefs through
     in order. *)
 val check_sources : (string * string) list -> Ir.program
+
+(** The one-line message for a lex, parse or type error, as [ivy check]
+    prints it and [ivy serve] returns it; [None] for any other
+    exception. *)
+val error_message : exn -> string option

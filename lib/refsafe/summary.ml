@@ -8,11 +8,11 @@
    whether the function can free anything at all, whether it can write
    a global pointer slot, and where its return value can come from.
 
-   The summaries are solved callees-first over the same Tarjan SCC
-   condensation and bottom-up dependency levels as the absint return
-   summaries ({!Absint.Summary.sccs_of} / [levels_of]); components of
-   one level are independent and solved on a {!Par} pool. Recursive
-   components degrade to the conservative all-bets-off summary. *)
+   The summaries are solved callees-first by the same bottom-up driver
+   as the absint return summaries ({!Absint.Summary.bottom_up}):
+   components of one level are independent and solved on a {!Par}
+   pool. Recursive components degrade to the conservative all-bets-off
+   summary. *)
 
 module I = Kc.Ir
 module SM = Map.Make (String)
@@ -43,7 +43,6 @@ let bottom_sum =
   }
 
 let ptr_formal_idxs (fd : I.fundec) : int list =
-  List.filteri (fun _ v -> I.is_pointer v.I.vty) fd.I.sformals |> ignore;
   List.mapi (fun i v -> (i, v)) fd.I.sformals
   |> List.filter_map (fun (i, v) -> if I.is_pointer v.I.vty then Some i else None)
 
@@ -476,41 +475,10 @@ let summarize (summaries : summaries) (prog : I.program) (fd : I.fundec) : fsum 
 
 (* ---- bottom-up computation over SCC levels ------------------------ *)
 
-let is_self_recursive (fd : I.fundec) =
-  List.mem fd.I.fname (Absint.Summary.direct_callees fd)
-
 let compute ?(jobs = 1) (prog : I.program) : summaries =
-  let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
-  let sccs = Absint.Summary.sccs_of defined in
-  List.fold_left
-    (fun summaries level ->
-      (* Components of one level only read strictly-lower summaries, so
-         the pool members never observe each other; the fold re-merges
-         in SCC order, identical to the serial result. *)
-      let solvable, recursive =
-        List.partition
-          (fun scc -> match scc with [ fd ] -> not (is_self_recursive fd) | _ -> false)
-          level
-      in
-      let solved =
-        Par.map ~jobs
-          (fun scc ->
-            match scc with
-            | [ fd ] -> (fd.I.fname, summarize summaries prog fd)
-            | _ -> assert false)
-          solvable
-      in
-      let summaries =
-        List.fold_left (fun acc (name, s) -> SM.add name s acc) summaries solved
-      in
-      List.fold_left
-        (fun summaries scc ->
-          List.fold_left
-            (fun summaries fd -> SM.add fd.I.fname (conservative_sum fd) summaries)
-            summaries scc)
-        summaries recursive)
-    SM.empty
-    (Absint.Summary.levels_of sccs)
+  Absint.Summary.bottom_up ~jobs ~init:SM.empty ~add:SM.add
+    ~solve:(fun summaries fd -> summarize summaries prog fd)
+    ~fallback:conservative_sum prog
 
 let lookup (s : summaries) name = SM.find_opt name s
 let equal (a : summaries) (b : summaries) = SM.equal ( = ) a b

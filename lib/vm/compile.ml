@@ -8,17 +8,17 @@
      lists of mid-level items (IR instructions plus pseudo-ops for
      fuel burns, scope enter/exit and return-value sets) with
      structured terminators that still carry their IR condition;
-   - phase B (peephole + superinstructions, [IVY_VM_OPT], default on):
-     unconditional-jump chains collapse, single-predecessor blocks
-     merge, constants propagate through register slots, dead register
-     moves drop to bare fuel burns, and adjacent hot opcode pairs —
-     selected from the [IVY_VM_PROFILE] counter table, with a default
-     table measured on the E2 workloads — fuse into superinstructions;
-   - phase C (codegen): each item becomes one closure. Hot shapes get
-     specialized closures: register/constant operands are fetched
-     inline instead of through operand closures, compare+branch fuses
-     into the terminator, load/binop/store collapse around register
-     slots, and Deputy residue checks read classified operands.
+   - phase B (peephole, [IVY_VM_OPT], default on): unconditional-jump
+     chains collapse, single-predecessor blocks merge, constants
+     propagate through register slots, and dead register moves drop to
+     bare fuel burns;
+   - phase C (codegen): with the optimizer off, each item becomes one
+     closure. With it on, every set and nonnull/le/lt check describes
+     as a micro-op ([uop]) over classified operands and addresses, and
+     each maximal run of micro-ops compiles into the closure that
+     follows it — the next instruction's or the block terminator's,
+     where compare+branch is fused. A block of micro-ops is one
+     closure; one that branches back to itself spins in place.
 
    The contract is strict observational equivalence with {!Treewalk}:
    identical traps (kind and message), identical results, identical
@@ -36,9 +36,9 @@
    generation (profiling flag, optimizer flag), so instrumentation
    passes that rewrite bodies and runtime toggles of
    [set_profiling]/[set_opt] transparently invalidate stale code.
-   While profiling is on, phases B and the codegen specializations are
-   disabled so the counters reflect the raw opcode stream that guides
-   fusion selection. *)
+   While profiling is on, phase B and the micro-ops are disabled so the
+   counters reflect the raw opcode stream; the profile only observes,
+   it never steers compilation. *)
 
 module I = Kc.Ir
 
@@ -147,10 +147,10 @@ let prof_term name (f : env -> int) : env -> int =
 (* ------------------------------------------------------------------ *)
 
 (* [IVY_VM_OPT=0] (or [set_opt false]) disables phase B and the
-   codegen specializations, leaving the PR 5 one-closure-per-opcode
-   pipeline — the ablation arm of the vm-super benchmark. The stats
-   table counts compile-time sites: how many superinstructions were
-   formed per fused pair, and how many peephole rewrites fired. *)
+   micro-ops, leaving the one-closure-per-opcode pipeline — the
+   ablation arm of the vm-super benchmark. The stats table counts
+   compile-time sites: fused blocks and runs, specialized operands, and
+   how many peephole rewrites fired. *)
 
 let opt_on = ref (Sys.getenv_opt "IVY_VM_OPT" <> Some "0")
 let opt_counters = Vmcounters.create ()
@@ -165,11 +165,11 @@ let reset_opt_stats () = Vmcounters.reset opt_counters
 let ostat name = Vmcounters.bump opt_counters name
 let ostat_n name n = if n > 0 then Vmcounters.add opt_counters name n
 
-(* Inlined machine-state updates for the specialized closures. Same
+(* Inlined machine-state updates for the optimized code. Same
    state transitions as Machine.burn_fuel and the Cost hooks — the
    cost constants come from Cost so the model stays in one place —
    but with the cold trap arm out of line, the hot path inlines into
-   each superinstruction instead of paying a cross-module call per
+   each micro-op instead of paying a cross-module call per
    charge. The generic (opt-off) pipeline keeps calling the Machine
    and Cost entry points: that arm is the PR 5 baseline. *)
 let fuel_exhausted () = Trap.trap Trap.Out_of_fuel "interpreter fuel exhausted"
@@ -204,8 +204,9 @@ let[@inline] c_check (env : env) =
   c.Cost.cycles <- c.Cost.cycles + Cost.check_cost
 
 (* The compile-options generation baked into each cfun: toggling
-   either flag retires code compiled under the old options. Fusion is
-   suppressed while profiling so the counters see raw opcodes. *)
+   either flag retires code compiled under the old options. The
+   optimizer is suppressed while profiling so the counters see raw
+   opcodes. *)
 let current_gen () = (if !profiling_on then 1 else 0) lor (if !opt_on then 2 else 0)
 let gen_opt_active gen = gen land 2 <> 0 && gen land 1 = 0
 
@@ -230,7 +231,7 @@ let identity (v : int64) = v
 let normf ty = match normf_opt ty with Some f -> f | None -> identity
 
 (* The same normalization as a first-class shape, cheap enough to
-   inline into specialized closures (no closure call per write). *)
+   inline into micro-ops (no closure call per write). *)
 type nspec = Nid | Nsx of int | Nzx of int
 
 let nspec_of (ty : I.ty) : nspec =
@@ -441,9 +442,7 @@ let lval_type_c ((host, offs) : I.lval) : I.ty =
 (* Mid-level items keep the IR instruction (so the peephole can still
    pattern-match and rewrite expressions) plus the pseudo-ops the
    lowering introduces. [Mdeadmove] is an eliminated register move:
-   the write is gone but the instruction's fuel burn remains.
-   [Mfused] is a superinstruction: a run of instructions compiled into
-   one composed closure. *)
+   the write is gone but the instruction's fuel burn remains. *)
 type mi =
   | Mi of I.instr
   | Mfuel
@@ -451,7 +450,6 @@ type mi =
   | Mscope_exit of string
   | Mretval of I.exp option
   | Mdeadmove
-  | Mfused of I.instr list * string
 
 (* Terminators stay structured through phase B so conditions can be
    rewritten and fused; block targets are ids, -1 = return. *)
@@ -988,98 +986,6 @@ let peep_deadmoves ~slots ~nregs (b : mblock) : int =
       [] (List.rev b.mis);
   !kills
 
-(* ------------------------------------------------------------------ *)
-(* Superinstruction selection.                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The opcode name an instruction is counted under, matching the
-   [prof] labels codegen uses. *)
-let opname (i : I.instr) : string =
-  match i with
-  | I.Iset (lv, _) -> (
-      match lval_type_c lv with
-      | I.Tcomp _ -> "set-struct"
-      | _ -> "set"
-      | exception Trap.Trap _ -> "set")
-  | I.Icall (_, I.Direct _, _) -> "call"
-  | I.Icall (_, I.Indirect _, _) -> "call-indirect"
-  | I.Icheck (ck, _) -> (
-      match ck with
-      | I.Ck_nonnull _ -> "check-nonnull"
-      | I.Ck_le _ -> "check-le"
-      | I.Ck_lt _ -> "check-lt"
-      | I.Ck_nt_next _ -> "check-ntnext"
-      | I.Ck_not_atomic -> "check-notatomic")
-  | I.Irc_inc _ -> "rc-inc"
-  | I.Irc_dec _ -> "rc-dec"
-  | I.Irc_update _ -> "rc-update"
-
-(* Straight-line ops whose closures neither call back into the VM nor
-   change control flow — safe and profitable to chain. *)
-let fusable = function
-  | "set" | "check-nonnull" | "check-le" | "check-lt" | "check-ntnext" | "check-notatomic"
-  | "rc-inc" | "rc-dec" | "rc-update" ->
-      true
-  | _ -> false
-
-(* The baked-in table, measured on the E2 workloads (bw_mem_cp /
-   lat_syscall with Deputy residue): dense set runs dominate, followed
-   by bounds-check-then-access and refcount-update pairs. *)
-let default_hot_pairs =
-  [
-    ("set", "set");
-    ("check-lt", "set");
-    ("check-le", "set");
-    ("check-nonnull", "set");
-    ("check-nonnull", "check-lt");
-    ("check-nonnull", "check-le");
-    ("check-le", "check-lt");
-    ("rc-update", "set");
-    ("set", "rc-update");
-  ]
-
-(* Fusion candidates: the defaults plus every ordered pair of the
-   hottest fusable opcodes in the live profile (when one was
-   collected this run). *)
-let selected_pairs () : (string * string, unit) Hashtbl.t =
-  let h = Hashtbl.create 32 in
-  List.iter (fun p -> Hashtbl.replace h p ()) default_hot_pairs;
-  let hot =
-    profile_table ()
-    |> List.filter (fun (n, _) -> fusable n)
-    |> List.filteri (fun i _ -> i < 6)
-    |> List.map fst
-  in
-  List.iter (fun a -> List.iter (fun b -> Hashtbl.replace h (a, b) ()) hot) hot;
-  h
-
-(* Greedy left-to-right run formation, capped at 4 ops per
-   superinstruction (diminishing returns past that, and the composed
-   closure stays a flat arity-k apply). *)
-let peep_fuse pairs (b : mblock) : int =
-  let fused = ref 0 in
-  let flush run acc =
-    match run with
-    | [] -> acc
-    | [ (i, _) ] -> Mi i :: acc
-    | _ ->
-        incr fused;
-        Mfused (List.rev_map fst run, String.concat "+" (List.rev_map snd run)) :: acc
-  in
-  let rec go acc run items =
-    match items with
-    | [] -> List.rev (flush run acc)
-    | Mi i :: rest when fusable (opname i) -> (
-        let n = opname i in
-        match run with
-        | (_, last) :: _ when List.length run < 4 && Hashtbl.mem pairs (last, n) ->
-            go acc ((i, n) :: run) rest
-        | _ -> go (flush run acc) [ (i, n) ] rest)
-    | item :: rest -> go (item :: flush run acc) [] rest
-  in
-  b.mis <- go [] [] b.mis;
-  !fused
-
 let peephole ~slots ~nregs (bs : mblock array) : mblock array =
   let th1 = peep_thread bs in
   let mg = peep_merge bs in
@@ -1089,17 +995,14 @@ let peephole ~slots ~nregs (bs : mblock array) : mblock array =
   ostat_n "peep:jump-thread" (th1 + th2);
   ostat_n "peep:block-merge" mg;
   ostat_n "peep:term-copy" tc;
-  let pairs = selected_pairs () in
-  let cp = ref 0 and dm = ref 0 and fu = ref 0 in
+  let cp = ref 0 and dm = ref 0 in
   Array.iter
     (fun b ->
       cp := !cp + peep_constprop ~slots ~nregs b;
-      dm := !dm + peep_deadmoves ~slots ~nregs b;
-      fu := !fu + peep_fuse pairs b)
+      dm := !dm + peep_deadmoves ~slots ~nregs b)
     bs;
   ostat_n "peep:const-prop" !cp;
   ostat_n "peep:dead-move" !dm;
-  ostat_n "peep:fuse-runs" !fu;
   bs
 
 (* ------------------------------------------------------------------ *)
@@ -1734,84 +1637,84 @@ let classify_safe ctx (e : I.exp) : operand =
    burn, branch charge, operand fetches, ALU charge, predicate — the
    tree-walker's order as one flat closure. [burns] is a captured
    immutable bool, so its branch predicts perfectly. *)
-let cmp_term ~name ~burns ck oa ob (tid : int) (fid : int) : env -> int =
+let cmp_term ~burns ck oa ob (tid : int) (fid : int) : env -> int =
   match (oa, ob) with
   | Oc x, Oc y ->
       let tgt = if cmp_eval ck x y then tid else fid in
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          c_alu env;
-          tgt)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        c_alu env;
+        tgt
   | Oreg i, Oc y ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oc x, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oreg i, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Oc y ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oc x, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oreg i, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
 
 (* ------------------------------------------------------------------ *)
-(* Micro-ops: flat superinstruction bodies.                           *)
+(* Micro-ops: the optimized instruction form.                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The describable subset of instruction shapes, operands and
-   addresses resolved at compile time. A fused run whose members all
-   describe compiles to ONE closure stepping through descriptors —
-   immediate-tag dispatch instead of a closure call per opcode. *)
+(* The describable instruction shapes, operands and addresses resolved
+   at compile time. A run of micro-ops compiles to ONE closure stepping
+   through descriptors — immediate-tag dispatch instead of a closure
+   call per opcode. *)
 type uop =
   | Ustore of caddr * int * operand (* dst addr, width, value *)
   | Ucopy of caddr * int * bool * caddr * int (* src addr/width/signed, dst addr/width *)
@@ -1847,9 +1750,8 @@ let[@inline] afetch (env : env) (a : caddr) : int =
   | Adyn f -> f env
 
 (* One micro-op, fuel already burnt by the caller. Effect orders match
-   the specialized single-instruction closures exactly: value before
-   address for stores, check charge before operand fetches, the same
-   trap messages. *)
+   the generic closures exactly: value before address for stores,
+   check charge before operand fetches, the same trap messages. *)
 let run_uop (env : env) (u : uop) : unit =
   match u with
   | Ustore (a, w, o) ->
@@ -1932,6 +1834,78 @@ let run_uop (env : env) (u : uop) : unit =
       c_check env;
       if ofetch env o = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason
   | Unop -> ()
+
+(* A uop run, then [tail]: each uop burns its instruction's fuel and
+   runs. Runs of up to four — most block bodies — are unrolled. *)
+let seq (a : uop array) (tail : env -> 'a) : env -> 'a =
+  match a with
+  | [||] -> tail
+  | [| u1 |] ->
+      fun env ->
+        burn env;
+        run_uop env u1;
+        tail env
+  | [| u1; u2 |] ->
+      fun env ->
+        burn env;
+        run_uop env u1;
+        burn env;
+        run_uop env u2;
+        tail env
+  | [| u1; u2; u3 |] ->
+      fun env ->
+        burn env;
+        run_uop env u1;
+        burn env;
+        run_uop env u2;
+        burn env;
+        run_uop env u3;
+        tail env
+  | [| u1; u2; u3; u4 |] ->
+      fun env ->
+        burn env;
+        run_uop env u1;
+        burn env;
+        run_uop env u2;
+        burn env;
+        run_uop env u3;
+        burn env;
+        run_uop env u4;
+        tail env
+  | _ ->
+      let n = Array.length a in
+      fun env ->
+        for j = 0 to n - 1 do
+          burn env;
+          run_uop env (Array.unsafe_get a j)
+        done;
+        tail env
+
+(* A self-loop block: the back edge targets the block itself (after
+   [peep_termcopy] put the loop compare there), so it spins without
+   returning to the runner. Each iteration is the uop run plus the
+   inlined compare, charge for charge what the runner would produce;
+   the closure returns the exit target once the compare fails. It is
+   a [while] loop rather than a recursive local function, which
+   measured ~5% slower on the E2 schedule. *)
+let spin (a : uop array) ~burns ck oa ob (fid : int) : env -> int =
+  let n = Array.length a in
+  fun env ->
+    while
+      for j = 0 to n - 1 do
+        burn env;
+        run_uop env (Array.unsafe_get a j)
+      done;
+      if burns then burn env;
+      c_branch env;
+      let x = ofetch env oa in
+      let y = ofetch env ob in
+      c_alu env;
+      cmp_eval ck x y
+    do
+      ()
+    done;
+    fid
 
 (* ------------------------------------------------------------------ *)
 (* Calls (runtime entry points, shared with instruction closures).    *)
@@ -2046,14 +2020,12 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                   Machine.burn_fuel env.m;
                   Trap.trap Trap.Panic "struct assignment from non-lvalue"))
       | _ ->
-          if ctx.fopt then compile_set_opt ctx lv e
-          else
-            let ce = cexp ctx e in
-            let cw = cwrite ctx lv in
-            prof "set" (fun env ->
-                Machine.burn_fuel env.m;
-                let v = ce env in
-                cw env v))
+          let ce = cexp ctx e in
+          let cw = cwrite ctx lv in
+          prof "set" (fun env ->
+              Machine.burn_fuel env.m;
+              let v = ce env in
+              cw env v))
   | I.Icall (ret, target, args) -> (
       let cargs = Array.of_list (List.map (cexp ctx) args) in
       let nargs = Array.length cargs in
@@ -2103,36 +2075,6 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                 | None -> Trap.trap Trap.Unknown_function "call through non-function value %Ld" fv
               in
               cret env r))
-  | I.Icheck (ck, reason) when ctx.fopt -> (
-      match ck with
-      | I.Ck_nonnull e -> (
-          match classify ctx e with
-          | Oc v ->
-              ostat "spec:check";
-              if v = 0L then
-                prof "check-nonnull" (fun env ->
-                    burn env;
-                    c_check env;
-                    Trap.trap Trap.Check_failed "null pointer: %s" reason)
-              else
-                prof "check-nonnull" (fun env ->
-                    burn env;
-                    c_check env)
-          | Oreg i ->
-              ostat "spec:check";
-              prof "check-nonnull" (fun env ->
-                  burn env;
-                  c_check env;
-                  if rget env.regs i = 0L then
-                    Trap.trap Trap.Check_failed "null pointer: %s" reason)
-          | Odyn ce ->
-              prof "check-nonnull" (fun env ->
-                  burn env;
-                  c_check env;
-                  if ce env = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason))
-      | I.Ck_le (a, b) -> compile_check2 ctx ~strict:false reason a b
-      | I.Ck_lt (a, b) -> compile_check2 ctx ~strict:true reason a b
-      | I.Ck_nt_next _ | I.Ck_not_atomic -> compile_check_generic ctx ck reason)
   | I.Icheck (ck, reason) -> compile_check_generic ctx ck reason
   | I.Irc_inc e ->
       let ce = cexp ctx e in
@@ -2178,267 +2120,10 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                 end
               end))
 
-(* Specialized non-struct [Iset]: one flat closure per hot shape
-   (load-into-register, register move, memory-to-memory copy,
-   constant/ALU result into register, classified value into memory).
-   Every variant reproduces the generic closure's effect order — fuel,
-   value, address, store charge — with register reads/writes staying
-   charge-free. The source side compiles before the destination: a
-   compile-time trap raised while resolving a malformed source must
-   win over one from the destination, matching the generic
-   cexp-then-cwrite order. *)
-and compile_set_opt ctx (lv : I.lval) (e : I.exp) : env -> unit =
-  let src =
-    match e.I.e with
-    | I.Elval src_lv -> `Place (cplace ctx src_lv)
-    | I.Ebinop (op2, ea, eb)
-      when (match (op2, ea.I.ety) with
-           | (Kc.Ast.Add | Kc.Ast.Sub), I.Tptr _ -> false (* scaled ptr arithmetic: generic arm *)
-           | _ -> true) ->
-        let ak = aluk_of op2 ~signed:(Vmstate.is_signed ea.I.ety) in
-        let nsr = if alu_is_bool ak then Nid else nspec_of e.I.ety in
-        `Alu (ak, nsr, classify ctx ea, classify ctx eb)
-    | _ -> `Op (classify ctx e)
-  in
-  match cplace ctx lv with
-  | CPreg (k, vty) -> (
-      let ns = nspec_of vty in
-      let set_reg j =
-        ostat "spec:set-reg";
-        match ns with
-        | Nid ->
-            prof "set" (fun env ->
-                burn env;
-                rset env.regs k (rget env.regs j))
-        | _ ->
-            prof "set" (fun env ->
-                burn env;
-                rset env.regs k (napply ns (rget env.regs j)))
-      in
-      match src with
-      | `Place (CPmem (a, sty)) -> (
-          let width = Vmstate.width_of ctx.cc.prog sty in
-          let signed = Vmstate.is_signed sty in
-          ostat "spec:load-reg";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed)))
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed)))
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed))))
-      | `Place (CPreg (j, _)) -> set_reg j
-      | `Op (Oreg j) -> set_reg j
-      | `Op (Oc v) ->
-          ostat "spec:set-reg";
-          let v = napply ns v in
-          prof "set" (fun env ->
-              burn env;
-              rset env.regs k v)
-      | `Op (Odyn f) -> (
-          ostat "spec:set-reg";
-          match ns with
-          | Nid ->
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (f env))
-          | _ ->
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (napply ns (f env))))
-      | `Alu (ak, nsr, oa, ob) -> (
-          (* The ALU folds into the set closure: fuel, operand
-             fetches, ALU charge, compute (traps included), normalize
-             through the result type then the register's — exactly the
-             generic set-wrapping-binop order, minus a closure hop. *)
-          ostat "spec:set-alu";
-          match (ns, nsr, oa, ob) with
-          | _, _, Oc x, Oc y ->
-              if alu_can_trap ak then
-                prof "set" (fun env ->
-                    burn env;
-                    c_alu env;
-                    rset env.regs k (napply ns (napply nsr (alu_eval ak x y))))
-              else
-                let v = napply ns (napply nsr (alu_eval ak x y)) in
-                prof "set" (fun env ->
-                    burn env;
-                    c_alu env;
-                    rset env.regs k v)
-          | Nid, Nid, Oreg i, Oc y ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oc x, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oreg i, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Oc y ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oc x, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oreg i, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | _ ->
-              (* Narrow destination or result type: keep the compact
-                 two-closure form rather than 9 more normalize arms. *)
-              let f = cbinop_ops ak nsr oa ob in
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (napply ns (f env)))))
-  | CPmem (a, mty) -> (
-      let width = Vmstate.width_of ctx.cc.prog mty in
-      match src with
-      | `Place (CPmem (sa, sty)) ->
-          (* Memory-to-memory copy in one closure: source load then
-             destination store, exactly the order the generic pipeline
-             produces (value fully evaluated before the address). *)
-          let swidth = Vmstate.width_of ctx.cc.prog sty in
-          let ssigned = Vmstate.is_signed sty in
-          let fs = force sa in
-          let fd = force a in
-          ostat "spec:copy-mem";
-          prof "set" (fun env ->
-              burn env;
-              let saddr = fs env in
-              c_load env;
-              let v = Mem.load env.mem ~addr:saddr ~width:swidth ~signed:ssigned in
-              let daddr = fd env in
-              c_store env;
-              Mem.store env.mem ~addr:daddr ~width v)
-      | `Place (CPreg (j, _)) | `Op (Oreg j) -> (
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j))
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j))
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j)))
-      | `Op (Oc v) -> (
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v))
-      | (`Op (Odyn _) | `Alu _) as s -> (
-          let f =
-            match s with
-            | `Op (Odyn f) -> f
-            | `Op _ -> assert false (* Oc/Oreg handled above *)
-            | `Alu (ak, nsr, oa, ob) -> cbinop_ops ak nsr oa ob
-          in
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              (* Value before address, as the generic pipeline evaluates. *)
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)))
-
-(* [describe_set] mirrors [compile_set_opt]'s shape analysis but
-   yields a flat [uop] descriptor instead of a closure, so a fused run
-   of describable instructions executes without per-instruction
-   closure calls. Register destinations are described only at identity
-   normalization — [run_uop] never normalizes. Returns [None] for any
-   shape whose uop would diverge from the specialized closure. *)
+(* An instruction's micro-op, for the describable shapes: every
+   non-struct set and the nonnull/le/lt checks. Each uop reproduces the
+   generic closure's effect order. Register destinations normalize to
+   their width in [run_uop], so narrow registers describe too. *)
 and describe_set ctx (lv : I.lval) (e : I.exp) : uop option =
   match lval_type_c lv with
   | I.Tcomp _ -> None
@@ -2475,7 +2160,9 @@ and describe_set ctx (lv : I.lval) (e : I.exp) : uop option =
                | _ -> true) ->
             let ak = aluk_of op2 ~signed:(Vmstate.is_signed ea.I.ety) in
             let nsr = if alu_is_bool ak then Nid else nspec_of e.I.ety in
-            `Alu (ak, nsr, xop ea, xop eb)
+            let xa = xop ea in
+            let xb = xop eb in
+            `Alu (ak, nsr, xa, xb)
         | _ -> `Op (classify ctx e)
       in
       match cplace ctx lv with
@@ -2517,314 +2204,54 @@ and describe_instr ctx (i : I.instr) : uop option =
       Some (Ucheck2 (true, reason, classify ctx a, classify ctx b))
   | _ -> None
 
-(* Whole-block fusion: when every item of a block describes as a
-   micro-op run and the terminator is a goto, return, or classified
-   compare-and-branch, the block compiles to a single closure the
-   runner invokes once per visit — one indirect call per block per
-   iteration instead of one per opcode. A hot while-loop body (after
-   [peep_termcopy] copies the head's compare onto the back edge)
-   executes each iteration in exactly one closure call. Charge and
-   trap orders are the item closures' own, laid end to end. *)
-and codegen_block_flat ctx ~self (mb : mblock) : (env -> int) option =
-  if not ctx.fopt || mb.mis = [] then None
-  else
-    (* Stats are deferred until the whole block commits, so a late
-       failure doesn't double-count the run names against the
-       fallback's own [codegen_mi] bumps. *)
-    let pending_stats = ref [] in
-    let steps_of (item : mi) : uop list option =
+(* Phase C for one block. Items that describe as micro-ops gather into
+   maximal runs, and each run compiles into the closure that follows it
+   — the next item's, or the terminator's — so a run costs no closure
+   call of its own. A block whose every item describes is one closure
+   ([fuse:block]); when its compare terminator branches back to the
+   block itself, that closure spins in place until the compare fails
+   ([fuse:block-loop]). Charge and trap orders are the items' own, laid
+   end to end. A compile-time trap while describing falls back to
+   [compile_instr], which defers it. *)
+and codegen_block ctx (self : int) (mb : mblock) : bblock =
+  let uop_of (item : mi) : uop option =
+    if not ctx.fopt then None
+    else
       match item with
-      | Mi i -> (
-          match try describe_instr ctx i with Trap.Trap _ -> None with
-          | Some u -> Some [ u ]
-          | None -> None)
-      | Mfused (is, name) -> (
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | i :: rest -> (
-                match try describe_instr ctx i with Trap.Trap _ -> None with
-                | Some u -> go (u :: acc) rest
-                | None -> None)
-          in
-          match go [] is with
-          | Some us ->
-              pending_stats := ("fuse:" ^ name) :: "fuse:flat" :: !pending_stats;
-              Some us
-          | None -> None)
-      | Mfuel | Mdeadmove -> Some [ Unop ]
+      | Mi i -> ( try describe_instr ctx i with Trap.Trap _ -> None)
+      | Mfuel | Mdeadmove -> Some Unop
       | _ -> None
-    in
-    let rec collect acc = function
-      | [] -> Some (List.concat (List.rev acc))
-      | it :: rest -> (
-          match steps_of it with Some us -> collect (us :: acc) rest | None -> None)
-    in
-    match collect [] mb.mis with
-    | None -> None
-    | Some us -> (
-        let a = Array.of_list us in
-        let n = Array.length a in
-        (* Terminator shape: compares keep their parts so a self-loop
-           can inline the condition; everything else becomes a tail
-           closure — [cmp_term] carries the nine operand-specialized
-           compare arms, so a non-spinning loop condition costs two
-           register reads, not two operand-tag dispatches. *)
-        let shape =
-          match mb.mt with
-          | Mgoto t -> Some (`Tail (fun _ -> t))
-          | Mret -> Some (`Tail (prof_term "return" (fun _ -> -1)))
-          | Mif (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-if", false, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Mwhile (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-while", true, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Mdowhile (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-dowhile", false, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Munset | Mswitch _ -> None
-        in
-        match shape with
-        | None -> None
-        | Some (`Cmp (_, burns, ck, oa, ob, tid, fid)) when tid = self && n <= 4 ->
-            (* The back edge targets this very block (peep_termcopy
-               put the loop compare here), so spin without returning
-               to the runner: each iteration is the uop run plus the
-               inlined condition, charge-for-charge the sequence the
-               runner would have produced, and the closure returns
-               only when the compare finally fails. *)
-            List.iter ostat !pending_stats;
-            ostat "fuse:block";
-            ostat "fuse:block-loop";
-            Some
-              (match a with
-              | [| u1 |] ->
-                  fun env ->
-                    let rec go () =
-                      burn env;
-                      run_uop env u1;
-                      if burns then burn env;
-                      c_branch env;
-                      let x = ofetch env oa in
-                      let y = ofetch env ob in
-                      c_alu env;
-                      if cmp_eval ck x y then go () else fid
-                    in
-                    go ()
-              | [| u1; u2 |] -> (
-                  (* The two-uop body (op + loop increment) is the hot
-                     shape, so its condition fetches are specialized
-                     on the common operand pairs. *)
-                  match (oa, ob) with
-                  | Oreg ra, Oreg rb ->
-                      fun env ->
-                        let regs = env.regs in
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = rget regs ra in
-                          let y = rget regs rb in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ()
-                  | Oreg ra, Oc y ->
-                      fun env ->
-                        let regs = env.regs in
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = rget regs ra in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ()
-                  | _ ->
-                      fun env ->
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = ofetch env oa in
-                          let y = ofetch env ob in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ())
-              | [| u1; u2; u3 |] ->
-                  fun env ->
-                    let rec go () =
-                      burn env;
-                      run_uop env u1;
-                      burn env;
-                      run_uop env u2;
-                      burn env;
-                      run_uop env u3;
-                      if burns then burn env;
-                      c_branch env;
-                      let x = ofetch env oa in
-                      let y = ofetch env ob in
-                      c_alu env;
-                      if cmp_eval ck x y then go () else fid
-                    in
-                    go ()
-              | _ ->
-                  let u1 = a.(0) and u2 = a.(1) and u3 = a.(2) and u4 = a.(3) in
-                  fun env ->
-                    let rec go () =
-                      burn env;
-                      run_uop env u1;
-                      burn env;
-                      run_uop env u2;
-                      burn env;
-                      run_uop env u3;
-                      burn env;
-                      run_uop env u4;
-                      if burns then burn env;
-                      c_branch env;
-                      let x = ofetch env oa in
-                      let y = ofetch env ob in
-                      c_alu env;
-                      if cmp_eval ck x y then go () else fid
-                    in
-                    go ())
-        | Some shape ->
-            let tail =
-              match shape with
-              | `Tail f -> f
-              | `Cmp (name, burns, ck, oa, ob, tid, fid) ->
-                  cmp_term ~name ~burns ck oa ob tid fid
-            in
-            List.iter ostat !pending_stats;
-            ostat "fuse:block";
-            Some
-              (match a with
-              | [| u1 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    tail env
-              | [| u1; u2 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    tail env
-              | [| u1; u2; u3 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    burn env;
-                    run_uop env u3;
-                    tail env
-              | [| u1; u2; u3; u4 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    burn env;
-                    run_uop env u3;
-                    burn env;
-                    run_uop env u4;
-                    tail env
-              | _ ->
-                  fun env ->
-                    for j = 0 to n - 1 do
-                      burn env;
-                      run_uop env (Array.unsafe_get a j)
-                    done;
-                    tail env))
-
-(* Ck_le / Ck_lt with classified operands: signed int64 compare and
-   the exact trap messages of the generic arm. *)
-and compile_check2 ctx ~strict reason (ea : I.exp) (eb : I.exp) : env -> unit =
-  let name = if strict then "check-lt" else "check-le" in
-  let fail x y : unit =
-    if strict then Trap.trap Trap.Check_failed "%s (%Ld >= %Ld)" reason x y
-    else Trap.trap Trap.Check_failed "%s (%Ld > %Ld)" reason x y
   in
-  ostat "spec:check";
-  match (classify ctx ea, classify ctx eb) with
-  | Oc x, Oc y ->
-      if if strict then x >= y else x > y then
-        prof name (fun env ->
-            burn env;
-            c_check env;
-            fail x y)
-      else
-        prof name (fun env ->
-            burn env;
-            c_check env)
-  | Oreg i, Oc y ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          if if strict then x >= y else x > y then fail x y)
-  | Oc x, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Oreg i, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Oc y ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Oc x, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
-  | Oreg i, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
+  let run_then run next =
+    let a = Array.of_list (List.rev run) in
+    if Array.length a >= 2 then ostat "fuse:run";
+    seq a next
+  in
+  let rec go acc run = function
+    | [] -> (List.rev acc, run)
+    | item :: items -> (
+        match uop_of item with
+        | Some u -> go acc (u :: run) items
+        | None -> go (run_then run (codegen_mi ctx item) :: acc) [] items)
+  in
+  let instrs, run = go [] [] mb.mis in
+  let whole = instrs = [] && mb.mis <> [] in
+  if whole then ostat "fuse:block";
+  let self_loop =
+    match mb.mt with
+    | (Mif (c, tid, fid) | Mdowhile (c, tid, fid)) when whole && tid = self -> Some (c, false, fid)
+    | Mwhile (c, tid, fid) when whole && tid = self -> Some (c, true, fid)
+    | _ -> None
+  in
+  let parts (c, _, _) = try ccond_cmp_parts ctx c with Trap.Trap _ -> None in
+  let term =
+    match (self_loop, Option.bind self_loop parts) with
+    | Some (_, burns, fid), Some (ck, oa, ob) ->
+        ostat "fuse:block-loop";
+        spin (Array.of_list (List.rev run)) ~burns ck oa ob fid
+    | _ -> run_then run (codegen_term ctx mb.mt)
+  in
+  { bid = self; instrs = Array.of_list instrs; term }
 
 and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
   match ck with
@@ -2875,8 +2302,7 @@ and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
 and codegen_mi ctx (item : mi) : env -> unit =
   match item with
   | Mi i -> compile_instr ctx i
-  | Mfuel -> prof "fuel" (fun env -> Machine.burn_fuel env.m)
-  | Mdeadmove -> fun env -> burn env
+  | Mfuel | Mdeadmove -> prof "fuel" (fun env -> Machine.burn_fuel env.m)
   | Mscope_enter -> fun env -> Machine.delayed_scope_enter env.m
   | Mscope_exit where -> fun env -> Machine.delayed_scope_exit env.m ~where
   | Mretval None -> fun env -> env.retv <- 0L
@@ -2889,79 +2315,6 @@ and codegen_mi ctx (item : mi) : env -> unit =
       else
         let ce = cexp_safe ctx e in
         fun env -> env.retv <- ce env
-  | Mfused (is, name) -> (
-      ostat ("fuse:" ^ name);
-      (* Best case: every member describes as a micro-op and the whole
-         run becomes one flat closure — immediate-tag dispatch, no
-         per-instruction closure call. A compile-time trap while
-         describing falls back to [compile_instr], which defers it. *)
-      let described =
-        List.fold_left
-          (fun acc i ->
-            match acc with
-            | None -> None
-            | Some us -> (
-                match try describe_instr ctx i with Trap.Trap _ -> None with
-                | Some u -> Some (u :: us)
-                | None -> None))
-          (Some []) is
-      in
-      match described with
-      | Some us -> (
-          ostat "fuse:flat";
-          match List.rev us with
-          | [ u1; u2 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2
-          | [ u1; u2; u3 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2;
-                burn env;
-                run_uop env u3
-          | [ u1; u2; u3; u4 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2;
-                burn env;
-                run_uop env u3;
-                burn env;
-                run_uop env u4
-          | us ->
-              let a = Array.of_list us in
-              fun env ->
-                Array.iter
-                  (fun u ->
-                    burn env;
-                    run_uop env u)
-                  a)
-      | None -> (
-          match List.map (compile_instr ctx) is with
-          | [ f; g ] ->
-              fun env ->
-                f env;
-                g env
-          | [ f; g; h ] ->
-              fun env ->
-                f env;
-                g env;
-                h env
-          | [ f; g; h; k ] ->
-              fun env ->
-                f env;
-                g env;
-                h env;
-                k env
-          | fs ->
-              let a = Array.of_list fs in
-              fun env -> Array.iter (fun f -> f env) a))
 
 and codegen_term ctx (t : mterm) : env -> int =
   match t with
@@ -2970,7 +2323,7 @@ and codegen_term ctx (t : mterm) : env -> int =
   | Mret -> prof_term "return" (fun _ -> -1)
   | Mif (c, tid, fid) -> (
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-if" ~burns:false ck oa ob tid fid
+      | Some (ck, oa, ob) -> cmp_term ~burns:false ck oa ob tid fid
       | None -> (
           match ccond_safe ctx c with
           | Some cb ->
@@ -2986,7 +2339,7 @@ and codegen_term ctx (t : mterm) : env -> int =
       (* One loop iteration: fuel burn, branch charge, condition — in
          the tree-walker's order. *)
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-while" ~burns:true ck oa ob bodyid exitid
+      | Some (ck, oa, ob) -> cmp_term ~burns:true ck oa ob bodyid exitid
       | None -> (
           match ccond_safe ctx c with
           | Some cb ->
@@ -3002,7 +2355,7 @@ and codegen_term ctx (t : mterm) : env -> int =
                   if cc env = 0L then exitid else bodyid)))
   | Mdowhile (c, headid, exitid) -> (
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-dowhile" ~burns:false ck oa ob headid exitid
+      | Some (ck, oa, ob) -> cmp_term ~burns:false ck oa ob headid exitid
       | None -> (
           match ccond_safe ctx c with
           | Some cb ->
@@ -3084,23 +2437,11 @@ and compile_fun (cc : t) (fd : I.fundec) : cfun =
   sealm lo Mret;
   let mbs = Array.make (max lo.lnb 1) dummy in
   List.iter (fun b -> mbs.(b.mid) <- b) lo.lblocks;
-  (* Phase B: peephole + superinstruction formation. *)
+  (* Phase B: peephole. *)
   let mbs = if fopt then peephole ~slots ~nregs:!nregs mbs else mbs in
   (* Phase C: closure codegen. *)
   let ctx = { cc; slots; fopt } in
-  let blocks =
-    Array.mapi
-      (fun i (mb : mblock) ->
-        match codegen_block_flat ctx ~self:i mb with
-        | Some f -> { bid = i; instrs = [||]; term = f }
-        | None ->
-            {
-              bid = i;
-              instrs = Array.of_list (List.map (codegen_mi ctx) mb.mis);
-              term = codegen_term ctx mb.mt;
-            })
-      mbs
-  in
+  let blocks = Array.mapi (codegen_block ctx) mbs in
   {
     cf_body = fd.I.fbody;
     cf_gen = gen;

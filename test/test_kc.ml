@@ -200,6 +200,15 @@ let reject_cases =
       "int f(int * __count(p) buf, int *p) { return buf[0]; }";
     check_type_error "call in loop condition"
       "int g(void);\nint f(void) { while (g()) { } return 0; }";
+    check_type_error "sizeof void" "int f(void) { return sizeof(void); }";
+    check_type_error "sizeof void array bound" "int a[sizeof(void)];";
+    Alcotest.test_case "sizeof void message" `Quick (fun () ->
+        match parse_program "int f(void) { return sizeof(void); }" with
+        | _ -> Alcotest.fail "sizeof(void) checked"
+        | exception e ->
+            Alcotest.(check (option string))
+              "located type error" (Some "type error: sizeof(void) at test.kc:1:22")
+              (Kc.Typecheck.error_message e));
     check_parse_error "unterminated block" "int f(void) { return 0;";
     check_parse_error "bad token" "int f(void) { return $; }";
     check_parse_error "missing semicolon" "int f(void) { return 0 }";

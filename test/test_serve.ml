@@ -225,6 +225,20 @@ let test_serve_errors () =
         (String.length m > 0)
   | _ -> Alcotest.fail "error.message missing"
 
+(* A program the frontend rejects gets a JSON-RPC error, and the
+   daemon goes on to serve the next request. *)
+let test_serve_survives_frontend_error () =
+  let t = Ivy.Serve.create () in
+  let bad, sd = respond t (check_request "int f(void) { return sizeof(void); }") in
+  Alcotest.(check bool) "still serving" false sd;
+  Alcotest.(check (option int)) "frontend error code" (Some 1) (error_code bad);
+  (match get [ "error"; "message" ] bad with
+  | Some (J.Str m) ->
+      Alcotest.(check string) "located message" "type error: sizeof(void) at t.kc:1:22" m
+  | _ -> Alcotest.fail "error.message missing");
+  let ok, _ = respond t (check_request ~id:2 src_v1) in
+  Alcotest.(check bool) "next request answered" true (get [ "result" ] ok <> None)
+
 let test_serve_shutdown () =
   let t = Ivy.Serve.create () in
   let resp, sd = Ivy.Serve.handle_line t {|{"id":1,"method":"shutdown"}|} in
@@ -275,6 +289,7 @@ let () =
           Alcotest.test_case "programs isolated" `Quick test_serve_programs_are_isolated;
           Alcotest.test_case "stats and invalidate" `Quick test_serve_stats_and_invalidate;
           Alcotest.test_case "protocol errors" `Quick test_serve_errors;
+          Alcotest.test_case "frontend error survived" `Quick test_serve_survives_frontend_error;
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
           Alcotest.test_case "batch" `Quick test_serve_batch;
         ] );

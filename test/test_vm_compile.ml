@@ -266,12 +266,14 @@ let test_profiler () =
       Alcotest.(check bool) "render non-empty" true
         (String.length (Vm.Compile.render_profile ()) > 0))
 
-(* ---- fused superinstruction paths --------------------------------- *)
+(* ---- fused micro-op paths ----------------------------------------- *)
 
 (* Targeted shapes for the optimizer's fused paths: merged
    compare+branch loop terminators over every operand pairing,
    load+binop+store bodies, copies, check+access pairs under deputy,
-   and tight self-loop bodies (the whole-block spin). Each case runs
+   self-loop bodies short and long (the whole-block spin), micro-op
+   runs ahead of a call or switch, and narrow register destinations
+   fed by ALU ops. Each case runs
    tree vs compiled-with-optimizer AND compiled-without vs
    compiled-with, so a fused path that diverges from the unfused
    pipeline fails even where the tree-walker happens to agree. *)
@@ -323,6 +325,21 @@ let fused_cases : (string * string) list =
       "char cbuf[16];\n\
        long main(void) { int i; long s; for (i = 0; i < 16; i++) { cbuf[i] = i * 7; } s = 0; \
        for (i = 0; i < 16; i++) { s = s + cbuf[i]; } return s; }\n" );
+    ( "run before call and switch",
+      "long a[16];\n\
+       long g(long x) { return x * 5 + 1; }\n\
+       long main(void) { int i; long s; long t; s = 0; for (i = 0; i < 15; i++) { a[i] = i; \
+       a[i + 1] = s; t = s + a[i]; s = s + g(t); switch (i & 3) { case 0: s = s + 1; break; \
+       case 1: s = s - 2; default: s = s * 3; } } return s + a[15]; }\n" );
+    ( "spin body over four uops",
+      "long a[24];\n\
+       long b[24];\n\
+       long main(void) { int i; long s; long t; s = 0; for (i = 0; i < 24; i++) { a[i] = i; \
+       b[i] = i * 3; t = a[i] + b[i]; s = s + t; s = s ^ i; } return s + b[23]; }\n" );
+    ( "narrow register alu",
+      "long main(void) { int i; int h; unsigned int u; char c; long s; h = 7; u = 3; c = 1; s = \
+       0; for (i = 0; i < 40; i++) { h = h * 300; h = h - i; u = u * 7; u = u + 5; c = c * 3 + \
+       i; s = s + c + u + h; } return s; }\n" );
   ]
 
 let test_fused_paths () =
@@ -339,27 +356,37 @@ let test_fused_paths () =
     fused_cases
 
 (* The fused paths must actually engage, not just agree: compiling the
-   spin shape with the optimizer on has to report block fusion, a
-   self-loop, and the terminator copy that creates it. *)
+   spin shapes with the optimizer on has to report block fusion, a
+   self-loop (also past four uops), and the terminator copy that
+   creates it; a run ahead of a call or switch must share one closure. *)
 let test_fusion_engages () =
   let saved = Vm.Compile.opt_enabled () in
   Fun.protect
-    ~finally:(fun () -> Vm.Compile.set_opt saved)
+    ~finally:(fun () ->
+      Vm.Compile.set_opt saved;
+      Vm.Compile.reset_opt_stats ())
     (fun () ->
       Vm.Compile.set_opt true;
-      Vm.Compile.reset_opt_stats ();
-      let src = List.assoc "spin store+inc" fused_cases in
-      let t =
-        Vm.Builtins.boot ~engine:Vm.Interp.Compiled
-          (Kc.Typecheck.check_sources [ ("spin.kc", src) ])
+      (* Optimizer sites counted while compiling and running one case. *)
+      let sites case =
+        Vm.Compile.reset_opt_stats ();
+        let t =
+          Vm.Builtins.boot ~engine:Vm.Interp.Compiled
+            (Kc.Typecheck.check_sources [ ("fused.kc", List.assoc case fused_cases) ])
+        in
+        let r = Vm.Interp.run t "main" [] in
+        let stats = Vm.Compile.opt_stats () in
+        (r, fun name -> match List.assoc_opt name stats with Some n -> n | None -> 0)
       in
-      Alcotest.(check int64) "spin result" 7L (Vm.Interp.run t "main" []);
-      let stats = Vm.Compile.opt_stats () in
-      let count name = match List.assoc_opt name stats with Some n -> n | None -> 0 in
+      let r, count = sites "spin store+inc" in
+      Alcotest.(check int64) "spin result" 7L r;
       Alcotest.(check bool) "whole blocks fused" true (count "fuse:block" > 0);
       Alcotest.(check bool) "self-loop spin formed" true (count "fuse:block-loop" > 0);
       Alcotest.(check bool) "terminator copied onto back edge" true (count "peep:term-copy" > 0);
-      Vm.Compile.reset_opt_stats ())
+      let _, count = sites "spin body over four uops" in
+      Alcotest.(check bool) "long self-loop spins" true (count "fuse:block-loop" > 0);
+      let _, count = sites "run before call and switch" in
+      Alcotest.(check bool) "uop runs share a closure" true (count "fuse:run" > 0))
 
 (* ---- optimizer toggle after compile ------------------------------- *)
 
