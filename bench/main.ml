@@ -21,10 +21,10 @@ let best_of n f =
   done;
   !best
 
-(* --json: machine-readable results. Every headline scenario records
-   (name, wall-clock seconds, speedup); the collected list is printed
-   as JSON and written to BENCH_pr9.json at the repo root when the
-   flag is given. Format documented in DESIGN.md §13. The vm-super
+(* --json FILE: machine-readable results. Every headline scenario
+   records (name, wall-clock seconds, speedup); the collected list is
+   printed as JSON and written to FILE when the flag is given. Format
+   documented in DESIGN.md §13. The vm-super
    scenario additionally contributes the VM optimizer's compile-time
    site counters (fusion table + peephole hits) as [vm_opt_stats]. *)
 let json_results : (string * float * float) list ref = ref []
@@ -52,12 +52,10 @@ let render_json () =
   Printf.sprintf "{\n  \"bench\": \"ivy\",\n  \"format\": 1,\n  \"results\": [\n%s\n  ]%s\n}\n"
     (String.concat ",\n" rows) opt_rows
 
-let emit_json () =
+let emit_json path =
   let s = render_json () in
   print_string s;
-  let oc = open_out "BENCH_pr9.json" in
-  output_string oc s;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: regenerate the evaluation                                  *)
@@ -770,16 +768,26 @@ let benchmark () =
     (tests ())
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json = List.mem "--json" args in
-  let args = List.filter (fun a -> a <> "--json") args in
+  (* --json FILE may sit anywhere among the scenario arguments. *)
+  let rec split_json = function
+    | "--json" :: path :: rest when not (String.starts_with ~prefix:"--" path) ->
+        (Some path, snd (split_json rest))
+    | "--json" :: _ ->
+        prerr_endline "bench: --json needs an output file (--json FILE)";
+        exit 2
+    | a :: rest ->
+        let json, rest = split_json rest in
+        (json, a :: rest)
+    | [] -> (None, [])
+  in
+  let json, args = split_json (List.tl (Array.to_list Sys.argv)) in
   (match args with
   | "--absint-gate" :: _ -> absint_gate ()
   | "--vm-gate" :: _ -> vm_gate ()
   | "--refsafe-gate" :: _ -> refsafe_gate ()
   | "--gates" :: _ ->
       (* every CI regression fence in one process, so --json collects
-         all the headline scenarios into a single BENCH_pr9.json *)
+         all the headline scenarios into a single file *)
       absint_gate ();
       vm_gate ();
       ignore (bench_vm_super ());
@@ -801,4 +809,4 @@ let () =
       bench_serve ();
       section "Implementation micro-benchmarks (bechamel)";
       benchmark ());
-  if json then emit_json ()
+  Option.iter emit_json json

@@ -27,6 +27,15 @@ val checks_proved_rel : stats -> int
 val rate : stats -> float
 (** Percentage of residual checks proved (0 when none were seen). *)
 
+val provable_checks :
+  ifaces:Transfer.ifaces ->
+  summaries:Transfer.summaries ->
+  Solver.fresult ->
+  (Kc.Ir.instr * Transfer.proof) list
+(** The checks of a solved function that its fixpoint proves can never
+    fire, each with the product component that proved it. Checks are
+    the function body's own [Icheck] values (compare with [==]). *)
+
 val discharge_fundec :
   ?ifaces:Transfer.ifaces -> summaries:Transfer.summaries -> Kc.Ir.fundec -> fstat
 

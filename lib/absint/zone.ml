@@ -54,30 +54,34 @@ type seeds = int -> Interval.t
 
 let no_seeds : seeds = fun _ -> Interval.top
 
-(* Inject interval bounds of [vs] as unary constraints.  [None] when a
-   seed contradicts the zone (the state is infeasible). *)
-let seed_vars (seeds : seeds) (vs : int list) (t : t) : t option =
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> None
-      | Some t -> (
-          match seeds v with
-          | Interval.Bot -> None
-          | Interval.Iv (lo, hi) -> (
-              let t =
-                match hi with
-                | Interval.Fin h -> Dbm.add v zero h t
-                | _ -> Some t
-              in
-              match t with
-              | None -> None
-              | Some t -> (
-                  match lo with
-                  | Interval.Fin l when not (Int64.equal l Int64.min_int) ->
-                      Dbm.add zero v (Int64.neg l) t
-                  | _ -> Some t))))
-    (Some t) vs
+(* Interval bounds of [vs] as unary constraints, each variable's upper
+   bound before its lower one, in the order of [vs].  [None] when a
+   seed is empty (the state is infeasible). *)
+let seed_cons (seeds : seeds) (vs : int list) : (int * int * int64) list option =
+  List.fold_right
+    (fun v acc ->
+      match (acc, seeds v) with
+      | None, _ | _, Interval.Bot -> None
+      | Some cons, Interval.Iv (lo, hi) ->
+          let cons =
+            match lo with
+            | Interval.Fin l when not (Int64.equal l Int64.min_int) ->
+                (zero, v, Int64.neg l) :: cons
+            | _ -> cons
+          in
+          Some (match hi with Interval.Fin h -> (v, zero, h) :: cons | _ -> cons))
+    vs (Some [])
+
+(* Seed the interval bounds of [vs] into the zone, then close it.
+   [None] = infeasible. *)
+let seed_and_close (seeds : seeds) (vs : int list) (t : t) : t option =
+  match seed_cons seeds vs with
+  | None -> None
+  | Some adds -> Dbm.close_over ~adds t
+
+(* Sorted program variables of the zone plus [extra]. *)
+let vars_with (extra : int list) (t : t) : int list =
+  List.sort_uniq Int.compare (List.rev_append extra (vars t))
 
 (* Close the zone with each mentioned variable's interval bounds
    seeded in, materializing derived constraints (both relational and
@@ -90,13 +94,7 @@ let seed_vars (seeds : seeds) (vs : int list) (t : t) : t option =
    meets in the middle.  [None] = the combined zone+interval state is
    infeasible. *)
 let close_seeded ?(over = []) (seeds : seeds) (t : t) : t option =
-  if is_top t && over = [] then Some t
-  else
-    let module IS = Set.Make (Int) in
-    let vs = IS.elements (IS.union (IS.of_list (vars t)) (IS.of_list over)) in
-    match seed_vars seeds vs t with
-    | None -> None
-    | Some t -> Dbm.close_over (zero :: vs) t
+  if is_top t && over = [] then Some t else seed_and_close seeds (vars_with over t) t
 
 (* Entailment query: does the zone, reduced with interval seeds, prove
    [x - y <= c]?  The closure universe is extended with the query
@@ -105,14 +103,6 @@ let close_seeded ?(over = []) (seeds : seeds) (t : t) : t option =
 let entails_le (seeds : seeds) (x : int) (y : int) (c : int64) (t : t) : bool =
   Dbm.entails_le x y c t
   ||
-  let module IS = Set.Make (Int) in
-  let universe = IS.add x (IS.add y (IS.of_list (vars t))) in
-  let vs = IS.elements universe in
-  match seed_vars seeds vs t with
+  match seed_and_close seeds (vars_with [ x; y ] t) t with
   | None -> true
-  | Some t -> (
-      match Dbm.close_over (zero :: vs) t with
-      | None -> true
-      | Some closed -> Dbm.entails_le x y c closed)
-
-let to_string (t : t) : string = Dbm.to_string t
+  | Some closed -> Dbm.entails_le x y c closed

@@ -44,4 +44,3 @@ val entails_le : seeds -> int -> int -> int64 -> t -> bool
 (** [entails_le seeds x y c t]: does the interval-reduced zone prove
     [x - y <= c]? Infeasible states entail everything. *)
 
-val to_string : t -> string

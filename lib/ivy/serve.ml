@@ -392,6 +392,10 @@ let drain_lines (c : client) : string list =
       |> List.filter (fun l -> String.trim l <> "")
 
 let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : unit =
+  (* A client that hangs up before its reply must cost only its own
+     connection: the write then fails with EPIPE, which closes it,
+     instead of SIGPIPE killing the daemon and its warm programs. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX socket);

@@ -27,7 +27,9 @@ val run : socket:string -> ?watch:string -> ?poll_ms:int -> ?log:(string -> unit
 (** Bind [socket], serve until a [shutdown] request. With [watch], the
     directory's [.kc] files are re-checked (as program
     ["watch:<dir>"]) whenever their contents change, polled every
-    [poll_ms] (default 500) milliseconds; summaries go to [log]. *)
+    [poll_ms] (default 500) milliseconds; summaries go to [log].
+    Ignores SIGPIPE for the process, so a client that hangs up before
+    its reply only loses its own connection. *)
 
 val request : socket:string -> string -> string
 (** Client side: send one request line, return the response line. *)

@@ -265,6 +265,158 @@ let prop_zone_reduction_sound =
                      [ 1; 2; 3 ]))
 
 (* ------------------------------------------------------------------ *)
+(* Dbm against a reference closure                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive reference for [Dbm]: constraints x - y <= c in a table keyed
+   by (x, y), absent meaning +oo, closed by textbook Floyd–Warshall in
+   ascending variable order with the same overflow rule (a sum that
+   wraps is dropped) and the same one-step incremental [add].  The
+   generators reach 24 variables and constants at both ends of int64,
+   so the overflow-drop and negative-cycle paths run. *)
+module Oracle = struct
+  let checked_add a b =
+    let s = Int64.add a b in
+    if Int64.logxor a b >= 0L && Int64.logxor a s < 0L then None else Some s
+
+  let table entries =
+    let h = Hashtbl.create 64 in
+    List.iter (fun (x, y, c) -> Hashtbl.replace h (x, y) c) entries;
+    h
+
+  let get h i j = if i = j then Some 0L else Hashtbl.find_opt h (i, j)
+  let to_list h = List.sort compare (Hashtbl.fold (fun (x, y) c acc -> (x, y, c) :: acc) h [])
+
+  let vars h =
+    List.sort_uniq compare (Hashtbl.fold (fun (x, y) _ acc -> x :: y :: acc) h [])
+
+  let tighten h i j v =
+    match Hashtbl.find_opt h (i, j) with
+    | Some c when c <= v -> ()
+    | _ -> Hashtbl.replace h (i, j) v
+
+  let close entries =
+    let h = table entries in
+    let vs = vars h and feasible = ref true in
+    List.iter
+      (fun k ->
+        List.iter
+          (fun i ->
+            List.iter
+              (fun j ->
+                match (get h i k, get h k j) with
+                | Some a, Some b -> (
+                    match checked_add a b with
+                    | Some v when i = j -> if v < 0L then feasible := false
+                    | Some v -> tighten h i j v
+                    | None -> ())
+                | _ -> ())
+              vs)
+          vs)
+      vs;
+    if !feasible then Some (to_list h) else None
+
+  (* Every candidate reads the table as it was before the constraint. *)
+  let add x y c entries =
+    if x = y then if c < 0L then None else Some entries
+    else
+      let before = table entries in
+      match Hashtbl.find_opt before (x, y) with
+      | Some c0 when c0 <= c -> Some entries
+      | _ ->
+          Hashtbl.replace before (x, y) c;
+          let after = Hashtbl.copy before and vs = vars before and feasible = ref true in
+          List.iter
+            (fun i ->
+              List.iter
+                (fun j ->
+                  match (get before i x, get before y j) with
+                  | Some a, Some b -> (
+                      match Option.bind (checked_add a c) (checked_add b) with
+                      | Some v when i = j -> if v < 0L then feasible := false
+                      | Some v -> tighten after i j v
+                      | None -> ())
+                  | _ -> ())
+                vs)
+            vs;
+          if !feasible then Some (to_list after) else None
+end
+
+let dbm_entries t = List.rev (Absint.Dbm.fold (fun x y c acc -> (x, y, c) :: acc) t [])
+
+let gen_wide_const =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map Int64.of_int (int_range (-20) 20));
+        (2, map (fun d -> Int64.sub Int64.max_int (Int64.of_int d)) (int_range 0 20));
+        (2, map (fun d -> Int64.add Int64.min_int (Int64.of_int d)) (int_range 0 20));
+        (1, int64);
+      ])
+
+let gen_narrow_const = QCheck2.Gen.(map Int64.of_int (int_range (-1000) 1000))
+
+(* A pool of 1 to 24 variable ids (zero's -1 among them), constraints
+   over it, and one more constraint to add. *)
+let gen_dbm_case gen_const =
+  QCheck2.Gen.(
+    bind (int_range 1 24) (fun n ->
+        let var = oneofl (List.init n (fun i -> (3 * i) - 1)) in
+        let con = triple var var gen_const in
+        pair (list_size (int_range 0 (3 * n)) con) con))
+
+(* Constraints folded in with [Dbm.add], skipping any that would make
+   the system infeasible. *)
+let dbm_of cons =
+  List.fold_left
+    (fun t (x, y, c) -> match Absint.Dbm.add x y c t with Some t' -> t' | None -> t)
+    Absint.Dbm.top cons
+
+let same_result a b = Option.map dbm_entries a = b
+
+let prop_dbm_close_oracle =
+  QCheck2.Test.make ~name:"dbm closure matches the reference" ~count:300
+    (gen_dbm_case gen_wide_const) (fun (cons, _) ->
+      let t = dbm_of cons in
+      same_result (Absint.Dbm.close_over t) (Oracle.close (dbm_entries t)))
+
+let prop_dbm_seeded_close_oracle =
+  QCheck2.Test.make ~name:"dbm closure after adds matches the reference" ~count:300
+    (gen_dbm_case gen_wide_const) (fun (cons, extra) ->
+      let t = dbm_of cons and adds = extra :: List.filteri (fun i _ -> i mod 3 = 0) cons in
+      let expected =
+        List.fold_left
+          (fun acc (x, y, c) -> Option.bind acc (Oracle.add x y c))
+          (Some (dbm_entries t)) adds
+      in
+      same_result (Absint.Dbm.close_over ~adds t) (Option.bind expected Oracle.close))
+
+let prop_dbm_add_oracle =
+  QCheck2.Test.make ~name:"dbm add matches the reference" ~count:300
+    (gen_dbm_case gen_wide_const) (fun (cons, (x, y, c)) ->
+      let t = dbm_of cons in
+      same_result (Absint.Dbm.add x y c t) (Oracle.add x y c (dbm_entries t)))
+
+(* Incremental closure is complete on a closed matrix.  Only where no
+   bound sum can wrap: with overflow dropping, [add] sums d(i, x) + c
+   first while a closure may reach the same path as d(i, x) + (c +
+   d(y, j)), and one of the two can wrap where the other does not. *)
+let prop_dbm_add_closed =
+  QCheck2.Test.make ~name:"dbm add on a closed matrix equals its closure" ~count:300
+    (gen_dbm_case gen_narrow_const) (fun (cons, (x, y, c)) ->
+      match Absint.Dbm.close_over (dbm_of cons) with
+      | None -> true
+      | Some t ->
+          let expected =
+            if x = y then if c < 0L then None else Some (dbm_entries t)
+            else
+              Oracle.close
+                (List.filter (fun (a, b, _) -> (a, b) <> (x, y)) (dbm_entries t)
+                @ [ (x, y, match Absint.Dbm.find_opt x y t with Some c0 -> min c0 c | None -> c) ])
+          in
+          same_result (Absint.Dbm.add x y c t) expected)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end discharge                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -364,6 +516,143 @@ let test_corpus_strictly_more () =
   Alcotest.(check bool) "but not by emptying the program" true
     (Absint.Discharge.checks_proved stats < Absint.Discharge.checks_seen stats)
 
+(* The corpus's discharge set, check by check, as `ivy check` builds
+   it: interval summaries over the base program, then every residual
+   check of each deputized function in body order, with the product
+   component that proved it or "kept".  Per-function counts alone would
+   not notice two proofs trading places. *)
+let check_text (ck : Kc.Ir.check) =
+  let e = Kc.Pretty.exp_to_string in
+  match ck with
+  | Kc.Ir.Ck_nonnull a -> Printf.sprintf "nonnull(%s)" (e a)
+  | Kc.Ir.Ck_le (a, b) -> Printf.sprintf "%s <= %s" (e a) (e b)
+  | Kc.Ir.Ck_lt (a, b) -> Printf.sprintf "%s < %s" (e a) (e b)
+  | Kc.Ir.Ck_nt_next (a, w) -> Printf.sprintf "nt_next(%s, %d)" (e a) w
+  | Kc.Ir.Ck_not_atomic -> "not_atomic"
+
+let corpus_discharge_set () =
+  let prog = Kernel.Workloads.load ~fresh:true () in
+  let ifaces = Absint.Relsum.compute prog in
+  let summaries = Absint.Summary.compute ~ifaces prog in
+  let dprog = Kc.Ir.copy_program prog in
+  ignore (Deputy.Dreport.deputize dprog);
+  List.concat_map
+    (fun (fd : Kc.Ir.fundec) ->
+      if fd.Kc.Ir.fextern then []
+      else
+        let r = Absint.Solver.analyze ~summaries ~ifaces fd in
+        let proofs = Absint.Discharge.provable_checks ~ifaces ~summaries r in
+        let lines = ref [] in
+        Kc.Ir.iter_instrs
+          (fun i ->
+            match i with
+            | Kc.Ir.Icheck (ck, _) ->
+                let by =
+                  match List.assq_opt i proofs with
+                  | Some Absint.Transfer.P_interval -> "interval"
+                  | Some Absint.Transfer.P_relational -> "relational"
+                  | None -> "kept"
+                in
+                lines := Printf.sprintf "%s: %s -> %s" fd.Kc.Ir.fname (check_text ck) by :: !lines
+            | _ -> ())
+          fd.Kc.Ir.fbody;
+        List.rev !lines)
+    dprog.Kc.Ir.funcs
+
+let expected_discharge_set =
+  [
+    "kstrlen: nt_next(s, 1) -> kept";
+    "kstrncpy: (long)(i) < dn -> kept";
+    "kstrncpy: nt_next(src, 1) -> kept";
+    "kstrncpy: (long)(i) < dn -> kept";
+    "kstreq: nt_next(a, 1) -> kept";
+    "kstreq: nt_next(b, 1) -> kept";
+    "kstrhash: nt_next(s, 1) -> kept";
+    "kfifo_alloc: size <= (((*f).data == (char * __count(size) __opt)(0)) ? size : (*f).size) -> kept";
+    "kfifo_put: (*f).size <= ((d == (char * __count(sz) __opt)(0)) ? (*f).size : sz) -> kept";
+    "kfifo_put: sz <= (*f).size -> kept";
+    "kfifo_get: (*f).size <= ((d == (char * __count(sz) __opt)(0)) ? (*f).size : sz) -> kept";
+    "kfifo_get: sz <= (*f).size -> kept";
+    "htab_insert: 0 <= (long)(b) -> interval";
+    "htab_insert: (long)(b) < 64 -> interval";
+    "htab_lookup: 0 <= (long)(b) -> interval";
+    "htab_lookup: (long)(b) < 64 -> interval";
+    "htab_remove: 0 <= (long)(b) -> interval";
+    "htab_remove: (long)(b) < 64 -> interval";
+    "pgdir_map: nonnull(tab) -> interval";
+    "pgdir_map_addr: 0 <= (long)(t) -> interval";
+    "pgdir_map_addr: (long)(t) < 64 -> interval";
+    "pgdir_map_addr: nonnull(tab) -> interval";
+    "pgdir_map_addr: 0 <= (long)(s) -> interval";
+    "pgdir_map_addr: (long)(s) < 64 -> interval";
+    "pgdir_get_addr: 0 <= (long)(t) -> interval";
+    "pgdir_get_addr: (long)(t) < 64 -> interval";
+    "pgdir_get_addr: 0 <= (long)(s) -> interval";
+    "pgdir_get_addr: (long)(s) < 64 -> interval";
+    "pgdir_clone: 0 <= (long)(t) -> interval";
+    "pgdir_clone: (long)(t) < 64 -> interval";
+    "rq_pick: 0 <= (long)(idx) -> interval";
+    "rq_pick: (long)(idx) < 64 -> interval";
+    "rq_pick: (long)(best) < 64 -> interval";
+    "send_signal: 0 <= (long)(word) -> interval";
+    "send_signal: (long)(word) < 4 -> interval";
+    "do_fork: (long)(slot) < 8 -> interval";
+    "ramfs_write_checked: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "ramfs_write_checked: nonnull(pg) -> interval";
+    "ramfs_read_checked: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "path_lookup: nt_next(path, 1) -> kept";
+    "path_lookup: nt_next(path, 1) -> kept";
+    "path_lookup: (long)(len) < 32 -> kept";
+    "vfs_close: 0 <= (long)(fd) -> kept";
+    "vfs_close: (long)(fd) < 32 -> kept";
+    "skb_alloc: size <= (((*skb).data == (char * __count(capacity) __opt)(0)) ? size : (*skb).capacity) -> kept";
+    "skb_put: (*skb).capacity <= ((d == (char * __count(cap) __opt)(0)) ? (*skb).capacity : cap) -> kept";
+    "skb_put: cap <= (*skb).capacity -> kept";
+    "skb_copy_out: (*skb).capacity <= ((d == (char * __count(cap) __opt)(0)) ? (*skb).capacity : cap) -> kept";
+    "skb_copy_out: cap <= (*skb).capacity -> kept";
+    "ip_checksum: (long)(i) < n -> kept";
+    "ip_checksum: 0 <= (long)((i + 1)) -> interval";
+    "ip_checksum: (long)((i + 1)) < n -> kept";
+    "skb_checksum: (*skb).capacity <= ((d == (char * __count(cap) __opt)(0)) ? (*skb).capacity : cap) -> kept";
+    "skb_checksum: cap <= (*skb).capacity -> kept";
+    "skb_checksum: (long)(i) < cap -> kept";
+    "skb_checksum: 0 <= (long)((i + 1)) -> interval";
+    "skb_checksum: (long)((i + 1)) < cap -> kept";
+    "ip_build_header: (*skb).capacity <= ((d == (char * __count(cap) __opt)(0)) ? (*skb).capacity : cap) -> kept";
+    "ip_build_header: cap <= (*skb).capacity -> kept";
+    "ip_parse_header: (*skb).capacity <= ((d == (char * __count(cap) __opt)(0)) ? (*skb).capacity : cap) -> kept";
+    "ip_parse_header: cap <= (*skb).capacity -> kept";
+    "udp_send: got_n <= 64 -> kept";
+    "rd_read_sector: (long)(i) < n -> relational";
+    "rd_read_sector: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "rd_read_sector: (long)(i) < n -> relational";
+    "rd_write_sector: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "rd_write_sector: nonnull(pg) -> interval";
+    "rd_write_sector: (long)(i) < n -> relational";
+    "load_module: (long)(p) < 8 -> interval";
+    "load_module: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "load_module: (long)(p) < 8 -> kept";
+    "load_module: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "format_long: (long)(out) < n -> relational";
+    "run_initcalls: (long)(fd) < 32 -> interval";
+    "run_initcalls: (long)(ufd) < 32 -> interval";
+    "wl_bw_file_rd: (long)(fd) < 32 -> interval";
+    "wl_bw_mmap_rd: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "wl_bw_mmap_rd: 4096 <= ((data == (char * __count(psz) __opt)(0)) ? 4096 : psz) -> kept";
+    "wl_lat_fslayer: (long)(fd) < 32 -> interval";
+    "wl_ssh_copy: n <= 512 -> kept";
+  ]
+
+let test_corpus_discharge_set () =
+  let got = corpus_discharge_set () in
+  let count suffix =
+    List.length (List.filter (fun l -> String.ends_with ~suffix l) got)
+  in
+  Alcotest.(check int) "residual checks" 80 (List.length got);
+  Alcotest.(check int) "proved by intervals" 33 (count "-> interval");
+  Alcotest.(check int) "proved only relationally" 4 (count "-> relational");
+  Alcotest.(check (list string)) "discharge set, check by check" expected_discharge_set got
+
 (* The deputized VM executes strictly fewer dynamic checks with the
    absint stage on (instrumentation counters). *)
 let test_fewer_dynamic_checks () =
@@ -416,6 +705,14 @@ let () =
             prop_zone_widen_terminates;
             prop_zone_reduction_sound;
           ] );
+      ( "qcheck-dbm",
+        List.map (QCheck_alcotest.to_alcotest ~rand)
+          [
+            prop_dbm_close_oracle;
+            prop_dbm_seeded_close_oracle;
+            prop_dbm_add_oracle;
+            prop_dbm_add_closed;
+          ] );
       ( "discharge",
         [
           Alcotest.test_case "masked index" `Quick test_discharge_mask;
@@ -426,5 +723,6 @@ let () =
           Alcotest.test_case "interprocedural summary" `Quick test_discharge_summary;
           Alcotest.test_case "corpus: strictly more than Facts" `Quick test_corpus_strictly_more;
           Alcotest.test_case "corpus: fewer dynamic checks" `Quick test_fewer_dynamic_checks;
+          Alcotest.test_case "corpus: discharge set by check" `Quick test_corpus_discharge_set;
         ] );
     ]

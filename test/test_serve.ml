@@ -271,6 +271,61 @@ let test_serve_batch () =
     (Ivy.Serve.src_digest [ ("a", "x") ])
     (Ivy.Serve.src_digest [ ("a", "x") ])
 
+(* Over a real socket: a client that sends a check and hangs up before
+   the reply must not take the daemon down.  The daemon runs in a
+   forked child with SIGPIPE at its default action, so only the
+   daemon's own handling keeps it alive; a second client must still
+   get its stats reply, and the shutdown must end the child cleanly. *)
+let test_serve_client_hangup () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ivy-test-%d.sock" (Unix.getpid ()))
+  in
+  match Unix.fork () with
+  | 0 ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      (try Ivy.Serve.run ~socket (Ivy.Serve.create ()) with _ -> Unix._exit 2);
+      Unix._exit 0
+  | pid ->
+      let reaped = ref false in
+      let reap () =
+        reaped := true;
+        snd (Unix.waitpid [] pid)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          if not !reaped then begin
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (reap ())
+          end;
+          try Sys.remove socket with Sys_error _ -> ())
+        (fun () ->
+          let rec await n =
+            if n > 0 && not (Sys.file_exists socket) then begin
+              Unix.sleepf 0.02;
+              await (n - 1)
+            end
+          in
+          await 500;
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let line = Bytes.of_string (check_request src_v1 ^ "\n") in
+          ignore (Unix.write fd line 0 (Bytes.length line));
+          Unix.close fd;
+          let stats =
+            match Ivy.Serve.request ~socket {|{"id":2,"method":"stats"}|} with
+            | resp -> J.parse resp
+            | exception Unix.Unix_error (e, _, _) ->
+                Alcotest.failf "daemon gone after a client hung up: %s" (Unix.error_message e)
+          in
+          Alcotest.(check bool) "second client gets its stats" true
+            (get [ "result"; "requests" ] stats <> None);
+          ignore (Ivy.Serve.request ~socket {|{"id":3,"method":"shutdown"}|});
+          match reap () with
+          | Unix.WEXITED 0 -> ()
+          | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
+          | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s)
+
 let () =
   Alcotest.run "serve"
     [
@@ -292,5 +347,6 @@ let () =
           Alcotest.test_case "frontend error survived" `Quick test_serve_survives_frontend_error;
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
           Alcotest.test_case "batch" `Quick test_serve_batch;
+          Alcotest.test_case "client hang-up survived" `Quick test_serve_client_hangup;
         ] );
     ]
