@@ -47,7 +47,7 @@ let count_checks (b : I.block) : int =
    component of the product proved them ({!Transfer.provable_why}
    tries the interval rule first, so [P_relational] counts only
    zone-exclusive proofs). *)
-let provable_checks ~ifaces ~summaries (r : Solver.fresult) :
+let provable_checks ~summaries (r : Solver.fresult) :
     (I.instr * Transfer.proof) list =
   let removable = ref [] in
   Array.iter
@@ -61,7 +61,7 @@ let provable_checks ~ifaces ~summaries (r : Solver.fresult) :
               | Some p -> removable := (i, p) :: !removable
               | None -> ())
           | _ -> ());
-          env := Transfer.instr ~ifaces summaries !env i)
+          env := Transfer.instr summaries !env i)
         node.Cfg.instrs)
     r.Solver.cfg.Cfg.nodes;
   !removable
@@ -91,10 +91,10 @@ and filter_stmt removable (s : I.stmt) : I.stmt option =
   | I.Sdelayed b1 -> Some { s with I.sk = I.Sdelayed (filter_block removable b1) }
   | I.Strusted b1 -> Some { s with I.sk = I.Strusted (filter_block removable b1) }
 
-let discharge_fundec ?(ifaces = Transfer.no_ifaces) ~summaries (fd : I.fundec) : fstat =
+let discharge_fundec ~summaries (fd : I.fundec) : fstat =
   let seen = count_checks fd.I.fbody in
-  let r = Solver.analyze ~summaries ~ifaces fd in
-  let tagged = provable_checks ~ifaces ~summaries r in
+  let r = Solver.analyze ~summaries fd in
+  let tagged = provable_checks ~summaries r in
   let removable = List.map fst tagged in
   if removable <> [] then fd.I.fbody <- filter_block removable fd.I.fbody;
   let count p = List.length (List.filter (fun (_, q) -> q = p) tagged) in
@@ -109,23 +109,13 @@ let discharge_fundec ?(ifaces = Transfer.no_ifaces) ~summaries (fd : I.fundec) :
   }
 
 (* Discharge over every defined function of an (already deputized and
-   Facts-optimized) program, in place.  Under the product domain
-   (default, see {!Domain}) the relational interface summaries are
-   computed first and feed both the interval summaries and the
-   per-function fixpoints. *)
-let run ?summaries ?ifaces (prog : I.program) : stats =
-  let ifaces =
-    match ifaces with
-    | Some i -> i
-    | None -> if Domain.relational () then Relsum.compute prog else Transfer.no_ifaces
-  in
-  let summaries =
-    match summaries with Some s -> s | None -> Summary.compute ~ifaces prog
-  in
+   Facts-optimized) program, in place. *)
+let run ?summaries (prog : I.program) : stats =
+  let summaries = match summaries with Some s -> s | None -> Summary.compute prog in
   {
     fstats =
       List.filter_map
-        (fun fd -> if fd.I.fextern then None else Some (discharge_fundec ~ifaces ~summaries fd))
+        (fun fd -> if fd.I.fextern then None else Some (discharge_fundec ~summaries fd))
         prog.I.funcs;
   }
 

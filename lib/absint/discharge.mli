@@ -28,21 +28,17 @@ val rate : stats -> float
 (** Percentage of residual checks proved (0 when none were seen). *)
 
 val provable_checks :
-  ifaces:Transfer.ifaces ->
-  summaries:Transfer.summaries ->
-  Solver.fresult ->
-  (Kc.Ir.instr * Transfer.proof) list
+  summaries:Transfer.summaries -> Solver.fresult -> (Kc.Ir.instr * Transfer.proof) list
 (** The checks of a solved function that its fixpoint proves can never
     fire, each with the product component that proved it. Checks are
     the function body's own [Icheck] values (compare with [==]). *)
 
-val discharge_fundec :
-  ?ifaces:Transfer.ifaces -> summaries:Transfer.summaries -> Kc.Ir.fundec -> fstat
+val discharge_fundec : summaries:Transfer.summaries -> Kc.Ir.fundec -> fstat
 
-val run : ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Kc.Ir.program -> stats
-(** Under the product domain (the default, see {!Domain}) relational
-    interface summaries are computed first ({!Relsum.compute}) and
-    feed both the interval summaries and every per-function fixpoint;
-    [IVY_ABSINT_DOMAIN=interval] reverts to the interval-only stage. *)
+val run : ?summaries:Transfer.summaries -> Kc.Ir.program -> stats
+(** Discharges every defined function in place, against [summaries]
+    (default: {!Summary.compute} over the program itself). Uses the
+    product domain unless {!Domain} selects intervals only
+    ([IVY_ABSINT_DOMAIN=interval]). *)
 
 val render_stats : stats -> string

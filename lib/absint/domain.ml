@@ -3,8 +3,8 @@
    The product (interval×nullness × zone) domain is the default; the
    [IVY_ABSINT_DOMAIN=interval] environment variable opts out of the
    relational component (useful for triage and for measuring the
-   relational gain).  Tools that need to compare both domains in one
-   process (bench) use the programmatic override. *)
+   relational gain).  [with_domain] overrides the environment within
+   one process; the tests use it to run the interval-only arm. *)
 
 type t = Product | Interval_only
 
@@ -27,5 +27,3 @@ let with_domain d f =
   let saved = !override in
   override := Some d;
   Fun.protect ~finally:(fun () -> override := saved) f
-
-let to_string = function Product -> "product" | Interval_only -> "interval"

@@ -4,15 +4,10 @@
 
 type t = Product | Interval_only
 
-val of_string : string -> t option
-
-val current : unit -> t
-(** Programmatic override, else the environment, else [Product]. *)
-
 val relational : unit -> bool
-(** Is the zone component enabled? *)
+(** Is the zone component enabled? A {!with_domain} override wins over
+    the environment; the default is [Product]. *)
 
 val with_domain : t -> (unit -> 'a) -> 'a
-(** Run with a forced domain choice (bench compares both in-process). *)
-
-val to_string : t -> string
+(** Run with a forced domain choice, in-process (the interval-only
+    corpus test in [test_absint] uses it). *)

@@ -32,8 +32,8 @@ let back_edge_targets (cfg : Cfg.t) : bool array =
   dfs cfg.Cfg.entry;
   target
 
-let transfer ~ifaces summaries (node : Cfg.node) (env : Env.t) : Env.t =
-  List.fold_left (fun env (i, _loc) -> Transfer.instr ~ifaces summaries env i) env node.Cfg.instrs
+let transfer summaries (node : Cfg.node) (env : Env.t) : Env.t =
+  List.fold_left (fun env (i, _loc) -> Transfer.instr summaries env i) env node.Cfg.instrs
 
 (* Branch conditions refine their outgoing edges: succs of a Tcond are
    [then; else] in that order. *)
@@ -50,13 +50,9 @@ let edge (node : Cfg.node) (idx : int) (out : Env.t) : Env.t =
    budget away from the undelayed proof. *)
 let widen_delay = 2
 
-let analyze_cfg ?(summaries = Transfer.no_summaries) ?(ifaces = Transfer.no_ifaces)
-    (cfg : Cfg.t) : fresult =
+let analyze_cfg ?(summaries = Transfer.no_summaries) (cfg : Cfg.t) : fresult =
   let widen_at = back_edge_targets cfg in
-  let r =
-    W.solve cfg ~widen_delay ~widen_at ~init:Env.empty ~transfer:(transfer ~ifaces summaries)
-      ~edge
-  in
+  let r = W.solve cfg ~widen_delay ~widen_at ~init:Env.empty ~transfer:(transfer summaries) ~edge in
   {
     cfg;
     before = r.W.before;
@@ -65,8 +61,7 @@ let analyze_cfg ?(summaries = Transfer.no_summaries) ?(ifaces = Transfer.no_ifac
     widen_points = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 widen_at;
   }
 
-let analyze ?summaries ?ifaces (fd : I.fundec) : fresult =
-  analyze_cfg ?summaries ?ifaces (Cfg.build fd)
+let analyze ?summaries (fd : I.fundec) : fresult = analyze_cfg ?summaries (Cfg.build fd)
 
 (* Join of the abstract values flowing into every reachable return of
    [fd], normed to the return type; used to summarize calls. *)

@@ -12,10 +12,8 @@ type fresult = {
 
 val back_edge_targets : Dataflow.Cfg.t -> bool array
 
-val analyze_cfg :
-  ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Dataflow.Cfg.t -> fresult
-
-val analyze : ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Kc.Ir.fundec -> fresult
+val analyze_cfg : ?summaries:Transfer.summaries -> Dataflow.Cfg.t -> fresult
+val analyze : ?summaries:Transfer.summaries -> Kc.Ir.fundec -> fresult
 
 val return_aval : Kc.Ir.fundec -> fresult -> Aval.t
 (** Join over all reachable [return e] sites, normed to the return

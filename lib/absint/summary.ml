@@ -125,17 +125,17 @@ let bottom_up ~jobs ~init ~add ~solve ~fallback (prog : I.program) =
         acc recursive)
     init (levels_of sccs)
 
-let solve_one ?(ifaces = Transfer.no_ifaces) ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
-  let r = Solver.analyze_cfg ~summaries ~ifaces (cfg_of fd) in
+let solve_one ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
+  let r = Solver.analyze_cfg ~summaries (cfg_of fd) in
   let ret = Solver.return_aval fd r in
   if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
 
-let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
-    ?(ifaces = Transfer.no_ifaces) (prog : I.program) : Transfer.summaries =
+let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1) (prog : I.program) :
+    Transfer.summaries =
   (* [cfg_of] runs on the pool, so it must be pure or pre-populated
      (the engine context prefetches its CFG cache before going
      parallel). *)
   bottom_up ~jobs ~init:Transfer.no_summaries ~add:Transfer.SM.add
-    ~solve:(fun summaries fd -> solve_one ~ifaces ~summaries ~cfg_of fd)
+    ~solve:(fun summaries fd -> solve_one ~summaries ~cfg_of fd)
     ~fallback:(fun fd -> Transfer.of_ty fd.I.fret)
     prog

@@ -1,7 +1,9 @@
 (** Interprocedural summaries: one abstract return value per defined
     function, computed callees-first over the SCC condensation of the
     direct-call graph. Recursive components degrade to the return
-    type's range. *)
+    type's range. The value's nullness component is what tells a
+    caller that a function (an allocator wrapper, say) never returns
+    null. *)
 
 val direct_callees : Kc.Ir.fundec -> string list
 
@@ -23,8 +25,8 @@ val bottom_up :
   fallback:(Kc.Ir.fundec -> 'a) ->
   Kc.Ir.program ->
   'm
-(** The bottom-up summary driver shared by {!compute}, {!Relsum.compute}
-    and [Refsafe.Summary.compute]. Over the defined functions' SCC
+(** The bottom-up summary driver shared by {!compute} and
+    [Refsafe.Summary.compute]. Over the defined functions' SCC
     levels, lowest first, each non-recursive singleton component is
     [solve]d — on a {!Par} pool of [jobs] domains — against the
     summaries of strictly lower levels; recursive components get
@@ -34,7 +36,6 @@ val bottom_up :
 val compute :
   ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) ->
   ?jobs:int ->
-  ?ifaces:Transfer.ifaces ->
   Kc.Ir.program ->
   Transfer.summaries
 (** [cfg_of] lets a caller (the engine context) share memoized CFGs;

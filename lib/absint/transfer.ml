@@ -29,14 +29,6 @@ type summaries = Aval.t SM.t
 
 let no_summaries : summaries = SM.empty
 
-(* Relational (skeleton-derived) interface facts per function, see
-   {!Relsum}: currently whether every return provably yields a
-   non-null pointer. *)
-type fn_iface = { ret_nonnull : bool }
-type ifaces = fn_iface SM.t
-
-let no_ifaces : ifaces = SM.empty
-
 (* Allocators yielding non-null chunks, kept in sync with the list the
    Facts-based optimizer trusts (Deputy.Optimize). *)
 let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
@@ -566,7 +558,7 @@ let zone_assign (v : I.varinfo) (e : I.exp) env =
         Env.tighten_from_zone env
     | None -> zone_kill v env
 
-let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.instr) : Env.t =
+let instr (summaries : summaries) (env : Env.t) (i : I.instr) : Env.t =
   match env with
   | Env.Unreachable -> env
   | _ -> (
@@ -583,14 +575,6 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
             match SM.find_opt f summaries with
             | Some a -> degrade v.I.vty (norm_aval v.I.vty a)
             | None -> if List.mem f allocators then Aval.nonnull else of_ty v.I.vty
-          in
-          let ret =
-            (* skeleton-derived interface: the callee provably returns
-               a non-null pointer on every path *)
-            match SM.find_opt f ifaces with
-            | Some { ret_nonnull = true } when I.is_pointer v.I.vty ->
-                degrade v.I.vty (Aval.reduce (Aval.meet ret Aval.nonnull))
-            | _ -> ret
           in
           Env.set v.I.vid ret (zone_kill v env)
       | I.Icall (Some (I.Lvar v, []), _, _) when Deputy.Facts.stable v ->

@@ -10,14 +10,6 @@ type summaries = Aval.t SM.t
 
 val no_summaries : summaries
 
-type fn_iface = { ret_nonnull : bool }
-(** Skeleton-derived relational interface of a function (see
-    {!Relsum}): [ret_nonnull] when every return provably yields a
-    non-null pointer. *)
-
-type ifaces = fn_iface SM.t
-
-val no_ifaces : ifaces
 val allocators : string list
 val ty_range : Kc.Ir.ty -> Interval.t
 val of_ty : Kc.Ir.ty -> Aval.t
@@ -52,4 +44,4 @@ val provable : Env.t -> Kc.Ir.check -> bool
 val assume_check : Env.t -> Kc.Ir.check -> Env.t
 (** A check that executed without trapping establishes its predicate. *)
 
-val instr : ?ifaces:ifaces -> summaries -> Env.t -> Kc.Ir.instr -> Env.t
+val instr : summaries -> Env.t -> Kc.Ir.instr -> Env.t

@@ -37,7 +37,6 @@ type table = {
   t_fns : (string * string) list;  (** per defined function, program order *)
   t_program : string;  (** header + every function *)
   t_skeleton : string;  (** the call/function-pointer projection *)
-  t_ptrflow : string;  (** the pointer-flow projection read by relsum *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -449,82 +448,6 @@ let skeleton (prog : I.program) : string =
     prog.I.funcs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The pointer-flow projection: everything the relational interface
-   summaries ({!Absint.Relsum}) read, and nothing else — function
-   headers, control structure, pointer-relevant conditions and
-   returns (opaque "?" markers otherwise), and the skeleton's
-   pointer-moving instructions.  No locations (the summaries carry
-   none, so pure line shifts stay warm) and no checks or arithmetic:
-   an arithmetic-only body edit leaves the digest unchanged and the
-   relsum artifact warm.  Keep in sync with relsum.ml: every fact that
-   analysis consumes must be serialized here. *)
-let ptrflow (prog : I.program) : string =
-  let b = Buffer.create 4096 in
-  let ser_cond c =
-    if exp_ptr_relevant c then ser_exp b c else add b "?"
-  in
-  let rec ser_stmt (s : I.stmt) =
-    match s.I.sk with
-    | I.Sinstr i ->
-        if skeleton_instr i then begin
-          ser_instr b i;
-          add b ";"
-        end
-    | I.Sreturn (Some e) ->
-        add b "return ";
-        if exp_ptr_relevant e then ser_exp b e else add b "?";
-        add b ";"
-    | I.Sreturn None -> add b "return;"
-    | I.Sif (c, b1, b2) ->
-        add b "if(";
-        ser_cond c;
-        add b "){";
-        List.iter ser_stmt b1;
-        add b "}else{";
-        List.iter ser_stmt b2;
-        add b "}"
-    | I.Swhile (c, body, step) ->
-        add b "while(";
-        ser_cond c;
-        add b "){";
-        List.iter ser_stmt body;
-        add b "}step{";
-        List.iter ser_stmt step;
-        add b "}"
-    | I.Sdowhile (body, c) ->
-        add b "do{";
-        List.iter ser_stmt body;
-        add b "}while(";
-        ser_cond c;
-        add b ")"
-    | I.Sswitch (_, cases) ->
-        (* the scrutinee and case values pick a case at runtime; the
-           must-analysis joins over all of them, so only the default
-           marker and the bodies matter *)
-        add b "switch{";
-        List.iter
-          (fun (c : I.case) ->
-            add b (if c.I.cdefault then "default{" else "case{");
-            List.iter ser_stmt c.I.cbody;
-            add b "}")
-          cases;
-        add b "}"
-    | I.Sbreak -> add b "break;"
-    | I.Scontinue -> add b "continue;"
-    | I.Sblock b1 | I.Sdelayed b1 | I.Strusted b1 ->
-        add b "{";
-        List.iter ser_stmt b1;
-        add b "}"
-  in
-  List.iter
-    (fun (fd : I.fundec) ->
-      ser_fn_header b fd;
-      add b "{";
-      List.iter ser_stmt fd.I.fbody;
-      add b "}")
-    prog.I.funcs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let table_of (prog : I.program) : table =
   let t_header = header prog in
   let t_fns = List.map (fun (fd : I.fundec) -> (fd.I.fname, fn fd)) prog.I.funcs in
@@ -538,7 +461,7 @@ let table_of (prog : I.program) : table =
       add b ";")
     t_fns;
   { t_header; t_fns; t_program = Digest.to_hex (Digest.string (Buffer.contents b));
-    t_skeleton = skeleton prog; t_ptrflow = ptrflow prog }
+    t_skeleton = skeleton prog }
 
 type diff = {
   d_changed : string list;  (** defined in both, body or header differs *)

@@ -14,11 +14,6 @@ type table = {
       (** the call / function-pointer projection read by points-to,
           call graph, blocking and irq-handler discovery; arithmetic
           body edits leave it unchanged *)
-  t_ptrflow : string;
-      (** the pointer-flow projection read by the relational interface
-          summaries ({!Absint.Relsum}): headers, control structure,
-          pointer-relevant conditions/returns, skeleton instructions —
-          no locations, checks or arithmetic *)
 }
 
 val fn : Kc.Ir.fundec -> string
@@ -27,7 +22,6 @@ val fn : Kc.Ir.fundec -> string
 
 val header : Kc.Ir.program -> string
 val skeleton : Kc.Ir.program -> string
-val ptrflow : Kc.Ir.program -> string
 val table_of : Kc.Ir.program -> table
 
 type diff = {

@@ -378,18 +378,26 @@ let watch_poll (t : t) ~(log : string -> unit) (dir : string) (last : string ref
 (* Socket loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Bound on a client's pending, not yet newline-terminated input: a
+   full-corpus check request is ~80 KiB, so this is ~200x headroom. *)
+let max_line = 16 * 1024 * 1024
+
 type client = { fd : Unix.file_descr; buf : Buffer.t }
 
-(* Pull complete lines off a client's input buffer. *)
-let drain_lines (c : client) : string list =
-  let s = Buffer.contents c.buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
+(* Append the [n] bytes just read and pull off the complete lines.
+   The pending buffer never holds a newline, so only the new bytes are
+   scanned and a line costs time linear in its length. *)
+let drain_lines (c : client) (chunk : bytes) (n : int) : string list =
+  match Bytes.rindex_from_opt chunk (n - 1) '\n' with
+  | None ->
+      Buffer.add_subbytes c.buf chunk 0 n;
+      []
   | Some last ->
+      Buffer.add_subbytes c.buf chunk 0 last;
+      let s = Buffer.contents c.buf in
       Buffer.clear c.buf;
-      Buffer.add_string c.buf (String.sub s (last + 1) (String.length s - last - 1));
-      String.sub s 0 last |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
+      Buffer.add_subbytes c.buf chunk (last + 1) (n - last - 1);
+      String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
 
 let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : unit =
   (* A client that hangs up before its reply must cost only its own
@@ -419,8 +427,11 @@ let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : uni
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     (* Accept new connections, then drain every readable client; one
-       poll round's complete lines form one batch. *)
+       poll round's complete lines form one batch. A client whose
+       pending line outgrows [max_line] is answered with an error and
+       dropped once the batch is written. *)
     let batch = ref [] in
+    let overflowed = ref [] in
     List.iter
       (fun fd ->
         if fd == srv then begin
@@ -436,8 +447,11 @@ let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : uni
               match Unix.read fd chunk 0 (Bytes.length chunk) with
               | 0 -> close_client fd
               | n ->
-                  Buffer.add_subbytes c.buf chunk 0 n;
-                  List.iter (fun line -> batch := (c, line) :: !batch) (drain_lines c)
+                  List.iter (fun line -> batch := (c, line) :: !batch) (drain_lines c chunk n);
+                  if Buffer.length c.buf > max_line then begin
+                    Buffer.reset c.buf;
+                    overflowed := c :: !overflowed
+                  end
               | exception Unix.Unix_error _ -> close_client fd))
       ready;
     let batch = List.rev !batch in
@@ -451,6 +465,13 @@ let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : uni
         batch responses;
       if sd then stop := true
     end;
+    List.iter
+      (fun c ->
+        let msg = Printf.sprintf "request line exceeds %d bytes" max_line in
+        let line = Bytes.of_string (render_error J.Null e_invalid msg ^ "\n") in
+        (try ignore (Unix.write c.fd line 0 (Bytes.length line)) with Unix.Unix_error _ -> ());
+        close_client c.fd)
+      !overflowed;
     match watch with Some dir when not !stop -> watch_poll t ~log dir watch_last | _ -> ()
   done;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;

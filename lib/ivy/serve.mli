@@ -23,6 +23,11 @@ val handle_batch : t -> string list -> string list * bool
 (** One poll round's worth of requests, in arrival order; parsing of
     programs the daemon cannot serve warm fans out over {!Par}. *)
 
+val max_line : int
+(** Bound, in bytes, on a client's pending input without a newline.
+    {!run} answers a client that exceeds it with a JSON-RPC [-32600]
+    error and closes that connection only. *)
+
 val run : socket:string -> ?watch:string -> ?poll_ms:int -> ?log:(string -> unit) -> t -> unit
 (** Bind [socket], serve until a [shutdown] request. With [watch], the
     directory's [.kc] files are re-checked (as program

@@ -29,11 +29,13 @@ type t = Vmstate.t = {
 
 type engine = Tree | Compiled
 
+(* Read once at startup, not lazily: Par workers boot VMs
+   concurrently, and two domains forcing one lazy value at the same
+   time raise CamlinternalLazy.Undefined. *)
 let default_engine =
-  lazy
-    (match Sys.getenv_opt "IVY_VM_ENGINE" with
-    | Some ("tree" | "treewalk" | "walk") -> Tree
-    | _ -> Compiled)
+  match Sys.getenv_opt "IVY_VM_ENGINE" with
+  | Some ("tree" | "treewalk" | "walk") -> Tree
+  | _ -> Compiled
 
 let fptr_encode = Vmstate.fptr_encode
 let fptr_decode = Vmstate.fptr_decode
@@ -41,7 +43,7 @@ let norm = Vmstate.norm
 
 let create ?engine (prog : Kc.Ir.program) (m : Machine.t) : t =
   let t = Vmstate.create prog m in
-  (match match engine with Some e -> e | None -> Lazy.force default_engine with
+  (match Option.value engine ~default:default_engine with
   | Tree -> ()
   | Compiled -> Compile.install t);
   t

@@ -532,16 +532,15 @@ let check_text (ck : Kc.Ir.check) =
 
 let corpus_discharge_set () =
   let prog = Kernel.Workloads.load ~fresh:true () in
-  let ifaces = Absint.Relsum.compute prog in
-  let summaries = Absint.Summary.compute ~ifaces prog in
+  let summaries = Absint.Summary.compute prog in
   let dprog = Kc.Ir.copy_program prog in
   ignore (Deputy.Dreport.deputize dprog);
   List.concat_map
     (fun (fd : Kc.Ir.fundec) ->
       if fd.Kc.Ir.fextern then []
       else
-        let r = Absint.Solver.analyze ~summaries ~ifaces fd in
-        let proofs = Absint.Discharge.provable_checks ~ifaces ~summaries r in
+        let r = Absint.Solver.analyze ~summaries fd in
+        let proofs = Absint.Discharge.provable_checks ~summaries r in
         let lines = ref [] in
         Kc.Ir.iter_instrs
           (fun i ->
@@ -653,6 +652,75 @@ let test_corpus_discharge_set () =
   Alcotest.(check int) "proved only relationally" 4 (count "-> relational");
   Alcotest.(check (list string)) "discharge set, check by check" expected_discharge_set got
 
+(* The interval-only arm ([IVY_ABSINT_DOMAIN=interval]): the same 80
+   residual checks, 29 proved by intervals and none relationally — the
+   figures `ivy check --json` reports under that domain. *)
+let test_corpus_interval_only () =
+  let got =
+    Absint.Domain.with_domain Absint.Domain.Interval_only corpus_discharge_set
+  in
+  let count suffix =
+    List.length (List.filter (fun l -> String.ends_with ~suffix l) got)
+  in
+  Alcotest.(check int) "residual checks" 80 (List.length got);
+  Alcotest.(check int) "proved by intervals" 29 (count "-> interval");
+  Alcotest.(check int) "proved relationally" 0 (count "-> relational")
+
+(* Non-null returns ride on the summary's nullness component: every
+   wrapper shape below must summarize to [Nonnull], and a caller that
+   dereferences the result through an __opt local gets its check
+   discharged.  A wrapper that may return 0 keeps its caller's check. *)
+let nonnull_src =
+  "struct s { long a; };\n\
+   void *kzalloc(long n, long f);\n\
+   struct s g;\n\
+   struct s h;\n\
+   struct s * __opt w_alloc(long n) {\n\
+  \  struct s * __opt p = kzalloc(n, 0); if (!p) return 0; return p; }\n\
+   struct s * __opt w_while(long n) {\n\
+  \  struct s * __opt p = &g; long i = 0; while (i < n) { p = &h; i = i + 1; } return p; }\n\
+   struct s * __opt w_do(long n) {\n\
+  \  struct s * __opt p = &g; do { p = &h; n = n - 1; } while (n > 0); return p; }\n\
+   struct s * __opt w_switch(long c) {\n\
+  \  struct s * __opt p = &g;\n\
+  \  switch (c) { case 0: p = &h; case 1: return p; default: p = &g; }\n\
+  \  return p; }\n\
+   struct s * __opt w_cond(long c) { return c ? &g : &h; }\n\
+   struct s * __opt w_cast(void) { void * __opt v = &g; return (struct s * __opt)v; }\n\
+   char * __opt w_str(void) { return \"ivy\"; }\n\
+   struct s * __opt w_wrap(long n) { struct s * __opt p = w_alloc(n); return p; }\n\
+   struct s * __opt w_wrap2(long n) { return w_wrap(n); }\n\
+   struct s * __opt w_guard(struct s * __opt p) { if (p == 0) return &g; return p; }\n\
+   struct s * __opt w_maybe(long c) { if (c) return 0; return &g; }\n\
+   long use_alloc(long c) { struct s * __opt p = w_alloc(c); return p->a; }\n\
+   long use_cond(long c) { struct s * __opt p = w_cond(c); return p->a; }\n\
+   long use_guard(long c) { struct s * __opt p = w_guard(&h); return p->a; }\n\
+   long use_maybe(long c) { struct s * __opt p = w_maybe(c); return p->a; }\n"
+
+let test_summary_nonnull_returns () =
+  let prog = parse nonnull_src in
+  let summaries = Absint.Summary.compute prog in
+  List.iter
+    (fun f ->
+      let a = Absint.Aval.reduce (Absint.Transfer.SM.find f summaries) in
+      Alcotest.(check string)
+        (f ^ " returns non-null")
+        (Absint.Nullness.to_string Absint.Nullness.Nonnull)
+        (Absint.Nullness.to_string a.Absint.Aval.nl))
+    [ "w_alloc"; "w_while"; "w_do"; "w_switch"; "w_cond"; "w_cast"; "w_str"; "w_wrap";
+      "w_wrap2"; "w_guard" ];
+  ignore (Deputy.Dreport.deputize prog);
+  let stats = Absint.Discharge.run prog in
+  let proved f =
+    let s = List.find (fun s -> s.Absint.Discharge.fname = f) stats.Absint.Discharge.fstats in
+    Alcotest.(check int) (f ^ ": one residual check") 1 s.Absint.Discharge.seen;
+    s.Absint.Discharge.proved
+  in
+  List.iter
+    (fun f -> Alcotest.(check int) (f ^ ": nonnull check proved") 1 (proved f))
+    [ "use_alloc"; "use_cond"; "use_guard" ];
+  Alcotest.(check int) "use_maybe: nonnull check kept" 0 (proved "use_maybe")
+
 (* The deputized VM executes strictly fewer dynamic checks with the
    absint stage on (instrumentation counters). *)
 let test_fewer_dynamic_checks () =
@@ -724,5 +792,7 @@ let () =
           Alcotest.test_case "corpus: strictly more than Facts" `Quick test_corpus_strictly_more;
           Alcotest.test_case "corpus: fewer dynamic checks" `Quick test_fewer_dynamic_checks;
           Alcotest.test_case "corpus: discharge set by check" `Quick test_corpus_discharge_set;
+          Alcotest.test_case "corpus: interval-only discharge" `Quick test_corpus_interval_only;
+          Alcotest.test_case "summary: non-null returns" `Quick test_summary_nonnull_returns;
         ] );
     ]

@@ -271,12 +271,10 @@ let test_serve_batch () =
     (Ivy.Serve.src_digest [ ("a", "x") ])
     (Ivy.Serve.src_digest [ ("a", "x") ])
 
-(* Over a real socket: a client that sends a check and hangs up before
-   the reply must not take the daemon down.  The daemon runs in a
-   forked child with SIGPIPE at its default action, so only the
-   daemon's own handling keeps it alive; a second client must still
-   get its stats reply, and the shutdown must end the child cleanly. *)
-let test_serve_client_hangup () =
+(* Run [f socket] against a daemon forked on a temp socket, with
+   SIGPIPE at its default action so only the daemon's own handling
+   keeps it alive; then a shutdown request must end it with status 0. *)
+let with_daemon f =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ivy-test-%d.sock" (Unix.getpid ()))
@@ -307,24 +305,72 @@ let test_serve_client_hangup () =
             end
           in
           await 500;
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX socket);
-          let line = Bytes.of_string (check_request src_v1 ^ "\n") in
-          ignore (Unix.write fd line 0 (Bytes.length line));
-          Unix.close fd;
-          let stats =
-            match Ivy.Serve.request ~socket {|{"id":2,"method":"stats"}|} with
-            | resp -> J.parse resp
-            | exception Unix.Unix_error (e, _, _) ->
-                Alcotest.failf "daemon gone after a client hung up: %s" (Unix.error_message e)
-          in
-          Alcotest.(check bool) "second client gets its stats" true
-            (get [ "result"; "requests" ] stats <> None);
+          f socket;
           ignore (Ivy.Serve.request ~socket {|{"id":3,"method":"shutdown"}|});
           match reap () with
           | Unix.WEXITED 0 -> ()
           | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
           | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s)
+
+(* The daemon still answers another client's stats. *)
+let check_stats_answered socket =
+  let stats =
+    match Ivy.Serve.request ~socket {|{"id":2,"method":"stats"}|} with
+    | resp -> J.parse resp
+    | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "daemon gone: %s" (Unix.error_message e)
+  in
+  Alcotest.(check bool) "second client gets its stats" true
+    (get [ "result"; "requests" ] stats <> None)
+
+(* Over a real socket: a client that sends a check and hangs up before
+   the reply must not take the daemon down. *)
+let test_serve_client_hangup () =
+  with_daemon (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let line = Bytes.of_string (check_request src_v1 ^ "\n") in
+      ignore (Unix.write fd line 0 (Bytes.length line));
+      Unix.close fd;
+      check_stats_answered socket)
+
+(* A client that sends more than [max_line] bytes without a newline
+   gets a -32600 error line and loses only its own connection. *)
+let test_serve_oversized_line () =
+  let saved = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe saved)
+    (fun () ->
+      with_daemon (fun socket ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+          let payload = Bytes.make (Ivy.Serve.max_line + 1) 'x' in
+          let rec write_all off =
+            if off < Bytes.length payload then
+              match Unix.write fd payload off (Bytes.length payload - off) with
+              | n -> write_all (off + n)
+              | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+          in
+          write_all 0;
+          let buf = Buffer.create 256 in
+          let chunk = Bytes.create 4096 in
+          let rec read_all () =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                read_all ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Alcotest.fail "no reply to an oversized line within 30 s"
+          in
+          read_all ();
+          Unix.close fd;
+          let resp = J.parse (String.trim (Buffer.contents buf)) in
+          Alcotest.(check (option (float 0.0))) "invalid-request error" (Some (-32600.0))
+            (match get [ "error"; "code" ] resp with Some (J.Num n) -> Some n | _ -> None);
+          check_stats_answered socket))
 
 let () =
   Alcotest.run "serve"
@@ -348,5 +394,6 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
           Alcotest.test_case "batch" `Quick test_serve_batch;
           Alcotest.test_case "client hang-up survived" `Quick test_serve_client_hangup;
+          Alcotest.test_case "oversized line rejected" `Quick test_serve_oversized_line;
         ] );
     ]
